@@ -80,7 +80,7 @@ def main() -> int:
         started = time.time()
         result = train(model, dataset, config)
         outcome = evaluate_examples(model, dataset.split("test"), dataset.vocab,
-                                    beam_size=args.beam, max_len=30)
+                                    beam_size=args.beam)
         print(f"[{variant.value}] {epochs} epochs in {time.time() - started:.1f}s, "
               f"best valid loss {result.best_valid_loss:.4f}")
         rows.append((variant.value, outcome.report))

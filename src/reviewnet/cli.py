@@ -15,8 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from . import oracles
-from .dataset import (ReviewExample, Vocabulary, build_vocab, load_dataset,
-                      read_features_bin, save_dataset, synth_dataset, tokenize)
+from .dataset import (FEATURES_MAGIC, MAX_CAPTION_LEN, ReviewExample, Vocabulary,
+                      build_vocab, load_dataset, read_payload, save_dataset,
+                      synth_dataset, tokenize)
 from .errors import (ConfigError, ContractError, DataError, NumericError, ShapeError)
 from .inference import beam_search, predict_class, strip_end
 from .metrics import EvalPair, MetricReport, overall_accuracy, report_table, score_corpus
@@ -25,7 +26,8 @@ from .tensor import (Tensor, add, backward, channel_bias, concat, conv2d,
                      cross_entropy, dropout, embedding_lookup, flatten, matmul,
                      max_pool2, mean_stack, mul, relu, sigmoid, slice1d, softmax,
                      sum_all, tanh)
-from .trainer import TrainConfig, train, tune_alpha_beta, write_metrics_csv
+from .trainer import (Instance, TrainConfig, instance_loss, train, tune_alpha_beta,
+                      write_metrics_csv)
 
 
 @dataclass
@@ -37,14 +39,16 @@ class EvalOutcome:
 
 def evaluate_examples(model: ReviewerModel, examples: list[ReviewExample],
                       vocab: Vocabulary | None, *, beam_size: int = 20,
-                      max_len: int = 30) -> EvalOutcome:
+                      max_len: int = MAX_CAPTION_LEN) -> EvalOutcome:
     """Decode and classify a split, returning the metric report and raw outputs."""
     report = MetricReport()
     generations: list[tuple[str, list[str]]] = []
     predictions: list[tuple[str, int, float]] = []
     pairs: list[EvalPair] = []
-    if model.variant.has_generator and vocab is None:
-        raise DataError("evaluating a captioning variant needs vocab.txt in the data directory")
+    if model.variant.has_generator:
+        if vocab is None:
+            raise DataError("evaluating a captioning variant needs vocab.txt in the data directory")
+        _check_vocab_size(model, vocab)
     for ex in examples:
         if model.variant.has_generator:
             top = beam_search(model, ex.inputs(), beam_size, max_len)[0]
@@ -63,35 +67,39 @@ def evaluate_examples(model: ReviewerModel, examples: list[ReviewExample],
     return EvalOutcome(report, generations, predictions)
 
 
+def _check_vocab_size(model: ReviewerModel, vocab: Vocabulary) -> None:
+    if len(vocab) != model.config.vocab_size:
+        raise DataError(f"the vocabulary has {len(vocab)} tokens but the checkpoint's "
+                        f"decoder has {model.config.vocab_size}")
+
+
 # ---------------------------------------------------------------------------
 # finite-difference self check
 
 
-def _loss_through(params: list[Tensor], build) -> tuple[float, list[np.ndarray]]:
+def gradient_error(params: list[Tensor], build, *, sample: int,
+                   rng: np.random.Generator) -> float:
+    """Worst relative error of analytic gradients vs difference quotients.
+
+    Tensors of at most ``sample`` entries are differenced exhaustively, larger
+    ones at ``sample`` coordinates drawn from ``rng``. Every coordinate must
+    match the central quotient or one of the one-sided quotients; the latter
+    covers kinks (relu corners, pooling argmax flips) sitting inside the probe
+    interval, where the analytic subgradient equals exactly one side.
+    """
     for p in params:
         p.zero_grad()
     loss = build()
     backward(loss)
-    return float(loss.data), [p.grad.copy() for p in params]
-
-
-def _check(params: list[Tensor], build, *, sample: int | None = None,
-           rng: np.random.Generator | None = None) -> float:
-    """Worst relative error of analytic gradients vs difference quotients.
-
-    Every coordinate must match the central quotient or one of the one-sided
-    quotients; the latter covers kinks (relu corners, pooling argmax flips)
-    sitting inside the probe interval, where the analytic subgradient equals
-    exactly one side.
-    """
-    value0, grads = _loss_through(params, build)
+    value0 = float(loss.data)
+    grads = [p.grad.copy() for p in params]
 
     def value() -> float:
         return float(build().data)
 
     worst = 0.0
     for p, grad in zip(params, grads):
-        if sample is None or p.data.size <= sample:
+        if p.data.size <= sample:
             slopes = oracles.finite_diff_slopes(value, p.data)
             worst = max(worst, oracles.subgradient_rel_error(grad, *slopes))
         else:
@@ -146,10 +154,10 @@ def _primitive_cases(rng: np.random.Generator):
     return cases
 
 
-def _variant_cases(seed: int):
-    """Tiny model per variant with a loss closure over a fixed instance."""
-    rng = np.random.default_rng(seed)
-    caption = [4, 5, 6]
+def variant_cases(rng: np.random.Generator, model_seed: int):
+    """(name, model, loss builder) per variant: a tiny model seeded with
+    ``model_seed`` and its training loss on one instance with inputs drawn
+    from ``rng``."""
     cases = []
     for variant in Variant:
         if variant is Variant.MT_BASELINE:
@@ -160,15 +168,10 @@ def _variant_cases(seed: int):
                                  shared_dim=8 if variant is Variant.MODEL_I else 4,
                                  specific_dim=4)
             inputs = rng.normal(size=8)
-        model = ReviewerModel(variant, config, seed=seed + 1)
-
-        def build(m=model, x=inputs):
-            if m.variant.multi_task:
-                return m.joint_loss(x, 1, caption, 1.0, 1.0)
-            out = m.forward(x, label=1 if m.variant.has_classifier else None,
-                            caption=caption if m.variant.has_generator else None)
-            return out.aesthetics if m.variant.has_classifier else out.language
-        cases.append((variant.value, model, build))
+        model = ReviewerModel(variant, config, seed=model_seed)
+        inst = Instance(variant.value, inputs, 1, (4, 5, 6))
+        cases.append((variant.value, model,
+                      lambda m=model, i=inst: instance_loss(m, i, TrainConfig(), None)))
     return cases
 
 
@@ -182,11 +185,11 @@ def gradient_check_suite(seed: int, *, coord_sample: int = 25) -> float:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for name, params, build in _primitive_cases(rng):
-        err = _check(params, build, sample=coord_sample, rng=rng)
+        err = gradient_error(params, build, sample=coord_sample, rng=rng)
         worst = max(worst, err)
         print(f"primitive {name:<14} max rel error {err:.3e}")
-    for name, model, build in _variant_cases(seed):
-        err = _check(list(model.params.values()), build, sample=coord_sample, rng=rng)
+    for name, model, build in variant_cases(np.random.default_rng(seed), seed + 1):
+        err = gradient_error(list(model.params.values()), build, sample=coord_sample, rng=rng)
         worst = max(worst, err)
         print(f"variant   {name:<14} max rel error {err:.3e}")
     return worst
@@ -292,11 +295,12 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    features = read_features_bin(args.features)
+    features = read_payload(args.features, FEATURES_MAGIC)
     vocab = Vocabulary.load(args.vocab)
     model = load_checkpoint(args.ckpt)
     if not model.variant.has_generator:
         raise ConfigError(f"variant {model.variant.value} has no language head")
+    _check_vocab_size(model, vocab)
     lines = []
     for row in features:
         top = beam_search(model, row, args.beam, args.max_len)[0]
@@ -358,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lstm-layers", type=int, default=1)
     p.add_argument("--encoder-dim", type=int, default=64,
                    help="tiny encoder output width (image datasets only)")
-    p.add_argument("--max-caption-len", type=int, default=30)
+    p.add_argument("--max-caption-len", type=int, default=MAX_CAPTION_LEN)
     p.add_argument("--clip-norm", type=float, default=None)
     p.set_defaults(func=_cmd_train)
 
@@ -367,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--beam", type=int, default=20)
     p.add_argument("--split", default="test", choices=["train", "valid", "test", "all"])
-    p.add_argument("--max-len", type=int, default=30)
+    p.add_argument("--max-len", type=int, default=MAX_CAPTION_LEN)
     p.add_argument("--report", required=True)
     p.add_argument("--generations", default=None,
                    help="also write decoded captions, one per line")
@@ -378,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--beam", type=int, default=20)
-    p.add_argument("--max-len", type=int, default=30)
+    p.add_argument("--max-len", type=int, default=MAX_CAPTION_LEN)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_generate)
 

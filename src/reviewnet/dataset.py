@@ -27,6 +27,7 @@ from .errors import ConfigError, DataError
 
 PAD_ID, START_ID, END_ID, UNK_ID = 0, 1, 2, 3
 RESERVED_TOKENS = ("<PAD>", "<START>", "<END>", "<UNK>")
+MAX_CAPTION_LEN = 30  # tokens per caption in training and decoding, END included when decoding
 
 FEATURES_MAGIC = b"NAIRF1"
 IMAGES_MAGIC = b"NAIRI1"
@@ -118,11 +119,6 @@ def build_vocab(corpus: list[list[str]], min_count: int = 4) -> Vocabulary:
     kept = [t for t, c in counts.items() if c >= min_count and t not in RESERVED_TOKENS]
     kept.sort(key=lambda t: (-counts[t], t))
     return Vocabulary(list(RESERVED_TOKENS) + kept)
-
-
-def encode_caption(tokens: list[str], vocab: Vocabulary) -> list[int]:
-    """Token ids for a caption; START/END are added downstream, never stored."""
-    return vocab.encode(tokens)
 
 
 @dataclass
@@ -287,36 +283,29 @@ def save_dataset(ds: ReviewDataset, out_dir: str | Path) -> None:
         (out_dir / "images.bin").write_bytes(blob + payload.tobytes())
 
 
-def read_features_bin(path: str | Path) -> np.ndarray:
+def read_payload(path: str | Path, magic: bytes) -> np.ndarray:
+    """Rows of a ``features.bin`` (``FEATURES_MAGIC``) or ``images.bin``
+    (``IMAGES_MAGIC``) file; every value must be finite."""
     path = Path(path)
     if not path.exists():
-        raise DataError(f"features file not found: {path}")
+        raise DataError(f"payload file not found: {path}")
     raw = path.read_bytes()
-    if raw[:len(FEATURES_MAGIC)] != FEATURES_MAGIC:
-        raise DataError(f"{path} does not start with the {FEATURES_MAGIC!r} magic")
-    count, dim = struct.unpack_from("<II", raw, len(FEATURES_MAGIC))
-    offset = len(FEATURES_MAGIC) + 8
-    expected = count * dim * 8
+    if raw[:len(magic)] != magic:
+        raise DataError(f"{path} does not start with the {magic!r} magic")
+    rank = 2 if magic == FEATURES_MAGIC else 1 + len(IMAGE_SHAPE)
+    offset = len(magic) + 4 * rank
+    if len(raw) < offset:
+        raise DataError(f"{path}: truncated header")
+    shape = struct.unpack_from(f"<{rank}I", raw, len(magic))
+    if magic == IMAGES_MAGIC and shape[1:] != IMAGE_SHAPE:
+        raise DataError(f"{path}: unexpected image dims {shape[1:]}")
+    expected = int(np.prod(shape, dtype=np.int64)) * 8
     if len(raw) - offset != expected:
         raise DataError(f"{path}: expected {expected} payload bytes, found {len(raw) - offset}")
-    return np.frombuffer(raw, dtype="<f8", offset=offset).reshape(count, dim).copy()
-
-
-def read_images_bin(path: str | Path) -> np.ndarray:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"images file not found: {path}")
-    raw = path.read_bytes()
-    if raw[:len(IMAGES_MAGIC)] != IMAGES_MAGIC:
-        raise DataError(f"{path} does not start with the {IMAGES_MAGIC!r} magic")
-    count, c, h, w = struct.unpack_from("<IIII", raw, len(IMAGES_MAGIC))
-    if (c, h, w) != IMAGE_SHAPE:
-        raise DataError(f"{path}: unexpected image dims {(c, h, w)}")
-    offset = len(IMAGES_MAGIC) + 16
-    expected = count * c * h * w * 8
-    if len(raw) - offset != expected:
-        raise DataError(f"{path}: expected {expected} payload bytes, found {len(raw) - offset}")
-    return np.frombuffer(raw, dtype="<f8", offset=offset).reshape(count, c, h, w).copy()
+    payload = np.frombuffer(raw, dtype="<f8", offset=offset).reshape(shape).copy()
+    if not np.isfinite(payload).all():
+        raise DataError(f"{path}: payload contains non-finite values")
+    return payload
 
 
 def load_dataset(data_dir: str | Path, rule: LabelRule = LabelRule()) -> ReviewDataset:
@@ -330,9 +319,11 @@ def load_dataset(data_dir: str | Path, rule: LabelRule = LabelRule()) -> ReviewD
     if features_path.exists() == images_path.exists():
         raise DataError(f"{data_dir} must contain exactly one of features.bin or images.bin")
     modality = "features" if features_path.exists() else "images"
-    payload = read_features_bin(features_path) if modality == "features" else read_images_bin(images_path)
+    payload = (read_payload(features_path, FEATURES_MAGIC) if modality == "features"
+               else read_payload(images_path, IMAGES_MAGIC))
 
     examples: list[ReviewExample] = []
+    seen_ids: set[str] = set()
     for lineno, line in enumerate(manifest.read_text(encoding="utf-8").splitlines()):
         if not line.strip():
             continue
@@ -351,6 +342,9 @@ def load_dataset(data_dir: str | Path, rule: LabelRule = LabelRule()) -> ReviewD
             )
         except (KeyError, TypeError) as exc:
             raise DataError(f"{manifest}:{lineno + 1}: missing or malformed field ({exc})") from None
+        if ex.example_id in seen_ids:
+            raise DataError(f"{manifest}:{lineno + 1}: duplicate example id {ex.example_id!r}")
+        seen_ids.add(ex.example_id)
         if ex.split not in SPLITS:
             raise DataError(f"{manifest}:{lineno + 1}: unknown split {ex.split!r}")
         if label_from_score(ex.score, rule) is not ex.label:

@@ -11,11 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import END_ID, Label
+from .dataset import END_ID, MAX_CAPTION_LEN, Label
 from .errors import ConfigError, ContractError
 from .model import ReviewerModel
-
-MAX_CAPTION_LEN = 30
 
 
 @dataclass(frozen=True)

@@ -104,10 +104,6 @@ class LSTMCell:
         }
 
 
-def lstm_step(cell: LSTMCell, state: LSTMState, x: Tensor) -> LSTMState:
-    return cell.step(state, x)
-
-
 class TinyConvEncoder:
     """Small trainable image encoder: two conv/relu/pool stages and a dense head.
 

@@ -19,7 +19,6 @@ Conventions pinned here (and relied on by the oracle equivalence tests):
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -319,9 +318,3 @@ def score_corpus(pairs: Sequence[EvalPair]) -> dict[str, float]:
         "cider": cider(pairs) if len(pairs) >= 2 else None,
         "meteor_lite": meteor_lite(pairs),
     }
-
-
-def write_report(report_dict: dict, path) -> None:
-    from pathlib import Path
-
-    Path(path).write_text(json.dumps(report_dict, indent=2) + "\n", encoding="utf-8")

@@ -44,12 +44,6 @@ class Variant(str, Enum):
     def has_generator(self) -> bool:
         return self is not Variant.IAC
 
-    @property
-    def encoder_mode(self) -> str:
-        # only the multi-task baseline trains its own image encoder; the
-        # other variants consume fixed feature vectors from file
-        return "trainable_tiny" if self is Variant.MT_BASELINE else "frozen_features"
-
 
 _VARIANT_TAGS = {
     Variant.IAC: 0,

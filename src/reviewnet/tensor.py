@@ -41,7 +41,6 @@ __all__ = [
     "sum_all",
     "tanh",
     "topo_order",
-    "unary",
 ]
 
 
@@ -79,22 +78,32 @@ class Tensor:
         if self.grad is not None:
             self.grad.fill(0.0)
 
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
 def _track(data: np.ndarray, parents: Sequence[Tensor], grad_fn) -> Tensor:
-    """Wrap an op result; record only parents that can receive gradients."""
-    out = Tensor(data)
-    tracked = tuple(p for p in parents if p.requires_grad)
+    """Wrap an op result; record only parents that can receive gradients.
+
+    This runs once per primitive, so it fills the slots directly instead of
+    going through ``Tensor.__init__``.
+    """
+    out = Tensor.__new__(Tensor)
+    out.data = data = np.asarray(data, dtype=np.float64)
+    tracked = tuple([p for p in parents if p.requires_grad])
     if tracked:
         out.requires_grad = True
-        out.grad = np.zeros_like(out.data)
+        # zeros_like keeps the layout of ``data``, which decides the BLAS path
+        # (and so the rounding) of later products with the gradient; np.zeros
+        # is the same array without zeros_like's overhead when data is C-ordered
+        out.grad = np.zeros(data.shape) if data.flags.c_contiguous else np.zeros_like(data)
         out._parents = tracked
         out._grad_fn = grad_fn
+    else:
+        out.requires_grad = False
+        out.grad = None
+        out._parents = ()
+        out._grad_fn = None
     return out
 
 
@@ -103,18 +112,21 @@ def topo_order(root: Tensor) -> list[Tensor]:
     order: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
+    # bound methods hoisted out of the loop: it runs once per tape node
+    pop, push, emit, mark = stack.pop, stack.append, order.append, seen.add
     while stack:
-        node, expanded = stack.pop()
+        node, expanded = pop()
         if expanded:
-            order.append(node)
+            emit(node)
             continue
-        if id(node) in seen:
+        key = id(node)
+        if key in seen:
             continue
-        seen.add(id(node))
-        stack.append((node, True))
+        mark(key)
+        push((node, True))
         for parent in node._parents:
             if id(parent) not in seen:
-                stack.append((parent, False))
+                push((parent, False))
     return order
 
 
@@ -134,12 +146,9 @@ def backward(loss: Tensor) -> None:
 def stable_sigmoid(z: np.ndarray) -> np.ndarray:
     """Logistic function without overflow for large negative inputs."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) is exp(-z) where z >= 0 and exp(z) elsewhere, and never overflows
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +163,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def grad_fn(g: np.ndarray) -> None:
         if a.requires_grad:
-            a.grad += np.outer(g, b.data) if b.data.ndim == 1 else g @ b.data.T
+            # g[:, None] * b is np.outer without its call overhead
+            a.grad += g[:, None] * b.data if b.data.ndim == 1 else g @ b.data.T
         if b.requires_grad:
             b.grad += a.data.T @ g
 
@@ -224,17 +234,6 @@ def tanh(x: Tensor) -> Tensor:
             x.grad += g * (1.0 - t * t)
 
     return _track(t, (x,), grad_fn)
-
-
-_UNARY = {"relu": relu, "sigmoid": sigmoid, "tanh": tanh}
-
-
-def unary(kind: str, x: Tensor) -> Tensor:
-    try:
-        fn = _UNARY[kind]
-    except KeyError:
-        raise ConfigError(f"unknown unary kind {kind!r}; expected one of {sorted(_UNARY)}") from None
-    return fn(x)
 
 
 def softmax(logits: Tensor) -> Tensor:

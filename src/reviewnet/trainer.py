@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import ReviewDataset, ReviewExample, Vocabulary, encode_caption, tokenize
+from .dataset import MAX_CAPTION_LEN, ReviewDataset, ReviewExample, Vocabulary, tokenize
 from .errors import ConfigError, ContractError, NumericError
 from .inference import greedy_decode, predict_class, strip_end
 from .metrics import EvalPair, bleu
@@ -30,7 +30,7 @@ class TrainConfig:
     seed: int = 0
     alpha: float = 1.0
     beta: float = 1.0
-    max_caption_len: int = 30
+    max_caption_len: int = MAX_CAPTION_LEN
     clip_norm: float | None = None  # off by default; long unrolls can spike
 
     def __post_init__(self):
@@ -82,7 +82,7 @@ def make_instances(examples: list[ReviewExample], vocab: Vocabulary | None,
         for comment in ex.comments:
             caption: tuple[int, ...] = ()
             if vocab is not None:
-                caption = tuple(encode_caption(tokenize(comment), vocab)[:max_caption_len])
+                caption = tuple(vocab.encode(tokenize(comment))[:max_caption_len])
                 if not caption:
                     continue
             instances.append(Instance(ex.example_id, ex.inputs(), int(ex.label), caption))

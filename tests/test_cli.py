@@ -1,9 +1,11 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from reviewnet.cli import main
+from reviewnet.dataset import FEATURES_MAGIC, RESERVED_TOKENS
 
 
 TRAIN_FLAGS = ["--embed-dim", "16", "--hidden-dim", "16", "--shared-dim", "8",
@@ -85,6 +87,23 @@ def test_generate_to_stdout(tmp_path, capsys):
                "--vocab", data / "vocab.txt", "--beam", 2) == 0
     out = capsys.readouterr().out
     assert len(out.splitlines()) == 20
+
+
+def test_vocab_size_mismatch_exits_3(tmp_path, capsys):
+    data, ckpt, _ = build_pipeline(tmp_path)
+    (data / "vocab.txt").write_text("\n".join(RESERVED_TOKENS) + "\n")
+    assert run("generate", "--ckpt", ckpt, "--features", data / "features.bin",
+               "--vocab", data / "vocab.txt") == 3
+    assert run("evaluate", "--data", data, "--ckpt", ckpt, "--report", tmp_path / "r.json") == 3
+
+
+def test_generate_rejects_non_finite_features_exits_3(tmp_path, capsys):
+    data, ckpt, _ = build_pipeline(tmp_path)
+    features = tmp_path / "nan.bin"
+    features.write_bytes(FEATURES_MAGIC + np.array([2, 16], "<u4").tobytes()
+                         + np.full((2, 16), np.nan).tobytes())
+    assert run("generate", "--ckpt", ckpt, "--features", features,
+               "--vocab", data / "vocab.txt") == 3
 
 
 def test_iac_trains_without_vocab(tmp_path):

@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 from reviewnet import oracles
 from reviewnet.dataset import (END_ID, FEATURES_MAGIC, PAD_ID, RESERVED_TOKENS,
                                START_ID, UNK_ID, Label, LabelRule, Vocabulary,
-                               build_vocab, encode_caption, label_from_score,
-                               load_dataset, read_features_bin, save_dataset,
-                               synth_dataset, tokenize)
+                               build_vocab, label_from_score, load_dataset,
+                               read_payload, save_dataset, synth_dataset, tokenize)
 from reviewnet.errors import ConfigError, DataError
 
 
@@ -101,11 +100,11 @@ def test_reserved_ids_are_pinned():
     assert (PAD_ID, START_ID, END_ID, UNK_ID) == (0, 1, 2, 3)
 
 
-def test_encode_caption_maps_oov_to_unk():
+def test_vocab_encode_maps_oov_to_unk():
     vocab = build_vocab([["great", "shot"] * 4], min_count=4)
-    assert encode_caption(["great", "shot"], vocab) == [vocab.token_to_id["great"],
-                                                        vocab.token_to_id["shot"]]
-    assert encode_caption(["zebra"], vocab) == [UNK_ID]
+    assert vocab.encode(["great", "shot"]) == [vocab.token_to_id["great"],
+                                               vocab.token_to_id["shot"]]
+    assert vocab.encode(["zebra"]) == [UNK_ID]
 
 
 @settings(max_examples=60, deadline=None)
@@ -232,9 +231,10 @@ def test_features_bin_magic_and_layout(tmp_path):
 
 def test_read_features_bin_rejects_garbage(tmp_path):
     path = tmp_path / "features.bin"
-    path.write_bytes(b"NOPE" + b"\x00" * 20)
-    with pytest.raises(DataError):
-        read_features_bin(path)
+    for garbage in (b"NOPE" + b"\x00" * 20, FEATURES_MAGIC + b"\x01"):
+        path.write_bytes(garbage)
+        with pytest.raises(DataError):
+            read_payload(path, FEATURES_MAGIC)
 
 
 def test_load_rejects_label_score_mismatch(tmp_path):
@@ -247,6 +247,23 @@ def test_load_rejects_label_score_mismatch(tmp_path):
     lines[0] = json.dumps(obj)
     manifest.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataError, match="inconsistent"):
+        load_dataset(tmp_path)
+
+
+def test_load_rejects_duplicate_ids(tmp_path):
+    ds = synth_dataset(2, 4)
+    ds.examples[2].example_id = ds.examples[0].example_id
+    save_dataset(ds, tmp_path)
+    with pytest.raises(DataError, match="duplicate example id"):
+        load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("modality", ["features", "images"])
+def test_load_rejects_non_finite_payload(tmp_path, modality):
+    ds = synth_dataset(2, 4, modality=modality)
+    ds.examples[1].inputs().flat[3] = np.inf
+    save_dataset(ds, tmp_path)
+    with pytest.raises(DataError, match="non-finite"):
         load_dataset(tmp_path)
 
 

@@ -1,30 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import randomize_params, tiny_model
+from conftest import oracle_decoder, tiny_model, toy_generator
 from reviewnet import oracles
 from reviewnet.dataset import END_ID, START_ID, Label
 from reviewnet.errors import ConfigError, ContractError
 from reviewnet.inference import (beam_search, greedy_decode, predict_class,
                                  score_caption, strip_end)
-
-
-def toy_generator(seed, vocab_size=6, feature_dim=4, hidden=5):
-    from reviewnet.model import ModelConfig, ReviewerModel
-
-    model = ReviewerModel("v2l", ModelConfig(vocab_size=vocab_size, feature_dim=feature_dim,
-                                             embed_dim=4, hidden_dim=hidden), seed=seed)
-    randomize_params(model, np.random.default_rng(seed))
-    return model
-
-
-def oracle_decoder(model, features):
-    layers = [(c.w_input.data, c.w_hidden.data, c.bias.data) for c in model.cells]
-    rep_gen = model.representation(model.image_representation(features))[1]
-    x_img = (model.gen_adapter(rep_gen) if model.gen_adapter is not None else rep_gen).data
-    dec = oracles.NaiveDecoder(layers, model.embedding.table.data,
-                               model.out_proj.weight.data, model.out_proj.bias.data)
-    return dec, x_img
 
 
 # ---------------------------------------------------------------------------

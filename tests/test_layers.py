@@ -3,8 +3,7 @@ import pytest
 
 from reviewnet import oracles
 from reviewnet.errors import ShapeError
-from reviewnet.layers import (Dense, EmbeddingTable, LSTMCell, LSTMState,
-                              TinyConvEncoder, lstm_step)
+from reviewnet.layers import Dense, EmbeddingTable, LSTMCell, LSTMState, TinyConvEncoder
 from reviewnet.tensor import Tensor, backward, sum_all
 
 
@@ -54,7 +53,7 @@ def test_lstm_hidden_state_is_bounded(rng):
 def test_lstm_width_mismatch(rng):
     cell = make_cell(rng)
     with pytest.raises(ShapeError):
-        lstm_step(cell, LSTMState.zeros(4), Tensor(np.zeros(5)))
+        cell.step(LSTMState.zeros(4), Tensor(np.zeros(5)))
 
 
 def test_lstm_forget_gate_bias_preset(rng):

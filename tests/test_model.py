@@ -1,25 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import randomize_params, tiny_model
+from conftest import oracle_decoder, randomize_params, tiny_model
 from reviewnet import oracles
 from reviewnet.dataset import END_ID, START_ID
 from reviewnet.errors import ContractError, DataError, ShapeError
 from reviewnet.model import (CHECKPOINT_MAGIC, ModelConfig, ReviewerModel, Variant,
                              load_checkpoint, save_checkpoint)
 from reviewnet.tensor import Tensor, backward, mean_stack
-
-
-def naive_decoder_for(model):
-    layers = [(c.w_input.data, c.w_hidden.data, c.bias.data) for c in model.cells]
-    return oracles.NaiveDecoder(layers, model.embedding.table.data,
-                                model.out_proj.weight.data, model.out_proj.bias.data)
-
-
-def gen_input(model, features):
-    rep_gen = model.representation(model.image_representation(features))[1]
-    adapted = model.gen_adapter(rep_gen) if model.gen_adapter is not None else rep_gen
-    return adapted.data
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +135,8 @@ def test_language_loss_is_negative_log_of_step_probability_product(rng):
     loss = model.language_loss(
         model.representation(model.image_representation(features))[1], caption).item()
 
-    dec = naive_decoder_for(model)
-    state = dec.advance(dec.initial_state(), gen_input(model, features))
+    dec, x_img = oracle_decoder(model, features)
+    state = dec.advance(dec.initial_state(), x_img)
     state = dec.advance(state, dec.embedding[START_ID])
     log_product = 0.0
     for token in caption + [END_ID]:
@@ -254,12 +242,6 @@ def test_trainable_sets_follow_variant_contract():
     iac = tiny_model("iac")
     assert not any(name.startswith(("embedding.", "lstm", "out_proj.", "gen_adapter."))
                    for name in iac.trainable_parameters())
-
-
-def test_variant_encoder_modes():
-    assert Variant.MT_BASELINE.encoder_mode == "trainable_tiny"
-    for v in (Variant.IAC, Variant.V2L, Variant.MODEL_I, Variant.MODEL_II):
-        assert v.encoder_mode == "frozen_features"
 
 
 def test_parameter_names_are_unique_slots():

@@ -7,8 +7,7 @@ from reviewnet.errors import ConfigError, ContractError, NumericError, ShapeErro
 from reviewnet.tensor import (Tensor, add, backward, channel_bias, concat, conv2d,
                               cross_entropy, dropout, embedding_lookup, flatten,
                               matmul, max_pool2, mean_stack, mul, relu, scale,
-                              sigmoid, slice1d, softmax, sum_all, tanh, topo_order,
-                              unary)
+                              sigmoid, slice1d, softmax, sum_all, tanh, topo_order)
 
 finite_floats = st.floats(min_value=-30, max_value=30, allow_nan=False, allow_infinity=False)
 
@@ -94,12 +93,6 @@ def test_unary_trivials():
     assert np.array_equal(relu(Tensor([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
     assert sigmoid(Tensor([0.0])).data == pytest.approx([0.5])
     assert tanh(Tensor([0.0])).data == pytest.approx([0.0])
-    assert np.array_equal(unary("relu", Tensor([-3.0, 3.0])).data, [0.0, 3.0])
-
-
-def test_unary_rejects_unknown_kind():
-    with pytest.raises(ConfigError):
-        unary("gelu", Tensor([1.0]))
 
 
 def test_sigmoid_saturation_no_overflow():
