@@ -17,17 +17,16 @@ import numpy as np
 from . import oracles
 from .dataset import (FEATURES_MAGIC, MAX_CAPTION_LEN, ReviewExample, Vocabulary,
                       build_vocab, load_dataset, read_payload, save_dataset,
-                      synth_dataset, tokenize)
+                      synth_dataset, tokenize, write_atomic)
 from .errors import (ConfigError, ContractError, DataError, NumericError, ShapeError)
 from .inference import beam_search, predict_class, strip_end
 from .metrics import EvalPair, MetricReport, overall_accuracy, report_table, score_corpus
 from .model import ModelConfig, ReviewerModel, Variant, load_checkpoint, save_checkpoint
 from .tensor import (Tensor, add, backward, channel_bias, concat, conv2d,
-                     cross_entropy, dropout, embedding_lookup, flatten, matmul,
-                     max_pool2, mean_stack, mul, relu, sigmoid, slice1d, softmax,
-                     sum_all, tanh)
-from .trainer import (Instance, TrainConfig, instance_loss, train, tune_alpha_beta,
-                      write_metrics_csv)
+                     cross_entropy, dropout, embedding_lookup, linear, lstm_sequence,
+                     matmul, max_pool2, mul, relu, reshape, softmax, sum_all)
+from .trainer import (Instance, TrainConfig, batch_loss, instance_loss, train,
+                      tune_alpha_beta, write_metrics_csv)
 
 
 @dataclass
@@ -131,47 +130,72 @@ def _primitive_cases(rng: np.random.Generator):
     pool_in = param(2, 4, 4)
     cb_x, cb_b = param(3, 4, 4), param(3)
     mask = rng.random(5) < 0.7
+    q, rows, lin_w, lin_b = param(4), param(2, 3, 4), param(5, 4), param(5)
+    r_lin = rng.normal(size=(2, 3, 5))
+    ce_rows = param(3, 4, 5)
+    ce_targets, ce_mask = rng.integers(0, 5, size=(3, 4)), rng.random((3, 4)) < 0.6
+    rows_b, r_cat = param(2, 2, 4), rng.normal(size=(2, 5, 4))
+    # a ragged batch of three rows (lengths 4, 1, 3) from a tracked state
+    seq_x, seq_h0, seq_c0 = param(3, 4, 2), param(3, 3), param(3, 3)
+    seq_wi, seq_wh, seq_b = param(12, 2), param(12, 3), param(12)
+    lengths = np.array([4, 1, 3])
+    r_h, r_c = rng.normal(size=(3, 4, 3)), rng.normal(size=(3, 4, 3))
+
+    def sequence_loss():
+        h, c = lstm_sequence(seq_x, seq_h0, seq_c0, seq_wi, seq_wh, seq_b, lengths)
+        return add(reduce(h, r_h), reduce(c, r_c))
+
     cases = [
         ("matmul", [a, b], lambda: reduce(matmul(a, b), r_mm)),
+        ("linear", [q, lin_w, lin_b], lambda: reduce(linear(q, lin_w, lin_b), r5)),
+        ("linear rows", [rows, lin_w, lin_b],
+         lambda: reduce(linear(rows, lin_w, lin_b), r_lin)),
         ("conv2d", [x_img, kern], lambda: sum_all(conv2d(x_img, kern, 1))),
         ("relu", [u], lambda: sum_all(relu(u))),
-        ("sigmoid", [v], lambda: sum_all(sigmoid(v))),
-        ("tanh", [v], lambda: sum_all(tanh(v))),
         ("softmax", [v], lambda: reduce(softmax(v), r5)),
         ("cross_entropy", [v], lambda: cross_entropy(v, 2)),
+        ("cross_entropy rows", [ce_rows],
+         lambda: cross_entropy(ce_rows, ce_targets, ce_mask)),
         ("add", [v, w], lambda: reduce(add(v, w), r5b)),
         ("mul", [v, w], lambda: sum_all(mul(v, w))),
         ("concat", [v, w], lambda: reduce(concat([v, w]), r10)),
-        ("slice1d", [v], lambda: sum_all(slice1d(v, 1, 4))),
+        ("concat axis 1", [rows, rows_b],
+         lambda: reduce(concat([rows, rows_b], axis=1), r_cat)),
         ("embedding", [tab], lambda: sum_all(add(embedding_lookup(tab, 2),
                                                  embedding_lookup(tab, 2)))),
+        ("embedding ids", [tab],
+         lambda: reduce(embedding_lookup(tab, np.array([[2, 0], [2, 5]])), r_cat[:, :2])),
         ("dropout", [v], lambda: sum_all(dropout(v, 0.7, mask=mask))),
-        ("mean_stack", [v, w], lambda: sum_all(mean_stack([v, w, v]))),
         ("max_pool2", [pool_in], lambda: sum_all(max_pool2(pool_in))),
-        ("flatten", [pool_in], lambda: reduce(flatten(pool_in), r32)),
+        ("reshape", [pool_in], lambda: reduce(reshape(pool_in, (-1,)), r32)),
         ("channel_bias", [cb_x, cb_b], lambda: sum_all(channel_bias(cb_x, cb_b))),
+        ("lstm_sequence", [seq_x, seq_h0, seq_c0, seq_wi, seq_wh, seq_b], sequence_loss),
     ]
     return cases
 
 
 def variant_cases(rng: np.random.Generator, model_seed: int):
-    """(name, model, loss builder) per variant: a tiny model seeded with
-    ``model_seed`` and its training loss on one instance with inputs drawn
-    from ``rng``."""
+    """(name, model, loss builder) pairs, two per variant on a tiny model seeded
+    with ``model_seed``: its training loss on one instance, and on a batch of
+    three instances with ragged captions. Inputs are drawn from ``rng``."""
     cases = []
     for variant in Variant:
         if variant is Variant.MT_BASELINE:
             config = ModelConfig(vocab_size=10, feature_dim=8, embed_dim=8, hidden_dim=8)
-            inputs = rng.random((3, 32, 32))
+            inputs = [rng.random((3, 32, 32)) for _ in range(3)]
         else:
             config = ModelConfig(vocab_size=10, feature_dim=8, embed_dim=8, hidden_dim=8,
                                  shared_dim=8 if variant is Variant.MODEL_I else 4,
                                  specific_dim=4)
-            inputs = rng.normal(size=8)
+            inputs = [rng.normal(size=8) for _ in range(3)]
         model = ReviewerModel(variant, config, seed=model_seed)
-        inst = Instance(variant.value, inputs, 1, (4, 5, 6))
+        captions = [(4, 5, 6), (7,), (8, 4, 9, 5, 6)]
+        batch = [Instance(variant.value, x, label, caption)
+                 for x, label, caption in zip(inputs, (1, 0, 1), captions)]
         cases.append((variant.value, model,
-                      lambda m=model, i=inst: instance_loss(m, i, TrainConfig(), None)))
+                      lambda m=model, i=batch[0]: instance_loss(m, i, TrainConfig(), None)))
+        cases.append((f"{variant.value} batch", model,
+                      lambda m=model, b=batch: batch_loss(m, b, TrainConfig(), None)))
     return cases
 
 
@@ -187,11 +211,11 @@ def gradient_check_suite(seed: int, *, coord_sample: int = 25) -> float:
     for name, params, build in _primitive_cases(rng):
         err = gradient_error(params, build, sample=coord_sample, rng=rng)
         worst = max(worst, err)
-        print(f"primitive {name:<14} max rel error {err:.3e}")
+        print(f"primitive {name:<18} max rel error {err:.3e}")
     for name, model, build in variant_cases(np.random.default_rng(seed), seed + 1):
         err = gradient_error(list(model.params.values()), build, sample=coord_sample, rng=rng)
         worst = max(worst, err)
-        print(f"variant   {name:<14} max rel error {err:.3e}")
+        print(f"variant   {name:<18} max rel error {err:.3e}")
     return worst
 
 
@@ -286,10 +310,10 @@ def _cmd_evaluate(args) -> int:
     report["generations"] = [
         {"id": ex_id, "caption": " ".join(words)} for ex_id, words in outcome.generations
     ]
-    Path(args.report).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    write_atomic(args.report, (json.dumps(report, indent=2) + "\n").encode("utf-8"))
     if args.generations:
         lines = "\n".join(" ".join(words) for _, words in outcome.generations)
-        Path(args.generations).write_text(lines + "\n", encoding="utf-8")
+        write_atomic(args.generations, (lines + "\n").encode("utf-8"))
     print(report_table([(model.variant.value, outcome.report)]))
     return 0
 
@@ -307,7 +331,7 @@ def _cmd_generate(args) -> int:
         lines.append(" ".join(vocab.decode(strip_end(list(top.tokens)))))
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        write_atomic(args.out, text.encode("utf-8"))
     else:
         sys.stdout.write(text)
     return 0

@@ -15,7 +15,9 @@ On-disk layout of a dataset directory:
 from __future__ import annotations
 
 import json
+import os
 import struct
+import uuid
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -36,6 +38,27 @@ IMAGE_SHAPE = (3, 32, 32)
 SPLITS = ("train", "valid", "test")
 
 _PUNCT = ".,!?;:'\"()"
+
+
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Replace the file at ``path`` with ``data`` in one step.
+
+    The bytes go to a temporary file in the same directory, which is synced
+    to disk and then renamed over ``path``, so a write that fails midway
+    leaves the previous file as it was and no temporary file behind.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    fh = open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb")
+    try:
+        with fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class Label(IntEnum):

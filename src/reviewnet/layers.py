@@ -7,8 +7,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import (Tensor, add, channel_bias, conv2d, embedding_lookup, flatten,
-                     matmul, max_pool2, mul, relu, sigmoid, slice1d, tanh)
+from .tensor import (Tensor, channel_bias, conv2d, embedding_lookup, linear, lstm_sequence,
+                     max_pool2, relu, reshape)
 
 
 def uniform_param(rng: np.random.Generator, shape, init_range: float) -> Tensor:
@@ -30,9 +30,8 @@ class Dense:
         self.activation = activation
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = matmul(self.weight, x)
-        if self.bias is not None:
-            y = add(y, self.bias)
+        """Applies to one vector or to every row of [..., in_dim]."""
+        y = linear(x, self.weight, self.bias)
         if self.activation == "relu":
             y = relu(y)
         return y
@@ -53,7 +52,7 @@ class EmbeddingTable:
         self.embed_dim = embed_dim
         self.table = uniform_param(rng, (vocab_size, embed_dim), init_range)
 
-    def __call__(self, token_id: int) -> Tensor:
+    def __call__(self, token_id) -> Tensor:
         return embedding_lookup(self.table, token_id)
 
     def named_params(self, prefix: str = "embedding") -> dict[str, Tensor]:
@@ -83,18 +82,18 @@ class LSTMCell:
         self.bias.data[hidden_dim:2 * hidden_dim] = forget_gate_bias
 
     def step(self, state: LSTMState, x: Tensor) -> LSTMState:
+        """One step from one state: the one-row, one-step case of ``sequence``."""
         if x.data.shape != (self.input_dim,):
             raise ShapeError(
                 f"lstm input of shape {x.data.shape} does not match cell width ({self.input_dim},)")
-        hd = self.hidden_dim
-        gates = add(add(matmul(self.w_input, x), matmul(self.w_hidden, state.h)), self.bias)
-        i = sigmoid(slice1d(gates, 0, hd))
-        f = sigmoid(slice1d(gates, hd, 2 * hd))
-        g = tanh(slice1d(gates, 2 * hd, 3 * hd))
-        o = sigmoid(slice1d(gates, 3 * hd, 4 * hd))
-        c_next = add(mul(f, state.c), mul(i, g))
-        h_next = mul(o, tanh(c_next))
-        return LSTMState(h_next, c_next)
+        h, c = lstm_sequence(reshape(x, (1, 1, -1)), reshape(state.h, (1, -1)),
+                             reshape(state.c, (1, -1)), self.w_input, self.w_hidden, self.bias)
+        return LSTMState(reshape(h, (-1,)), reshape(c, (-1,)))
+
+    def sequence(self, x: Tensor, lengths: np.ndarray) -> Tensor:
+        """Hidden states [B, T, H] of rows ``x`` [B, T, input_dim] run from the
+        zero state, row b for ``lengths[b]`` steps (zeros after)."""
+        return lstm_sequence(x, None, None, self.w_input, self.w_hidden, self.bias, lengths)[0]
 
     def named_params(self, prefix: str) -> dict[str, Tensor]:
         return {
@@ -128,7 +127,7 @@ class TinyConvEncoder:
                 f"encoder expects an image of shape {self.IMAGE_SHAPE}, got {image.data.shape}")
         y = max_pool2(relu(channel_bias(conv2d(image, self.conv1_kernels), self.conv1_bias)))
         y = max_pool2(relu(channel_bias(conv2d(y, self.conv2_kernels), self.conv2_bias)))
-        return self.fc(flatten(y))
+        return self.fc(reshape(y, (-1,)))
 
     def named_params(self, prefix: str = "encoder") -> dict[str, Tensor]:
         out = {

@@ -4,7 +4,8 @@ A model is a named collection of trainable tensors plus the forward rules
 turning an image representation into class logits, per-step token logits and
 task losses. The image representation enters the caption decoder exactly
 once, as the input at the step before the START token, and that step
-contributes no loss term.
+contributes no loss term. Losses are computed for a batch at once; the
+one-example entry points are its one-row case.
 """
 
 from __future__ import annotations
@@ -13,14 +14,15 @@ import struct
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
-from .dataset import END_ID, START_ID
+from .dataset import END_ID, PAD_ID, START_ID, write_atomic
 from .errors import ConfigError, ContractError, DataError, ShapeError
-from .layers import Dense, EmbeddingTable, LSTMCell, LSTMState, TinyConvEncoder
-from .tensor import (Tensor, add, concat, cross_entropy, dropout, scale,
-                     stable_sigmoid)
+from .layers import Dense, EmbeddingTable, LSTMCell, TinyConvEncoder
+from .tensor import (Tensor, add, concat, cross_entropy, dropout, lstm_cell, reshape,
+                     scale)
 
 CHECKPOINT_MAGIC = b"NAIRCKPT1"
 
@@ -99,13 +101,34 @@ def _resolve_config(variant: Variant, config: ModelConfig) -> ModelConfig:
 
 @dataclass
 class ForwardOutput:
-    """Per-example forward results; absent parts are None for single-task variants."""
+    """Per-example forward results; absent parts are None for single-task variants.
+
+    The logits are values for inspection; gradients flow through the losses.
+    """
 
     class_logits: Tensor | None
     step_logits: list[Tensor]
     aesthetics: Tensor | None
     language: Tensor | None
     joint: Tensor | None
+
+
+@dataclass
+class BatchOutput:
+    """Forward results of a batch; absent parts are None.
+
+    ``aesthetics`` and ``language`` are summed over the batch. ``loss`` is the
+    training objective: the batch mean of ``alpha * aesthetics + beta *
+    language`` for multi-task variants, of the one task loss otherwise.
+    ``token_logits`` [B, T, V] hold the image step at t = 0 and padding after
+    each caption's END prediction.
+    """
+
+    class_logits: Tensor | None
+    token_logits: Tensor | None
+    aesthetics: Tensor | None
+    language: Tensor | None
+    loss: Tensor | None
 
 
 class ReviewerModel:
@@ -200,8 +223,9 @@ class ReviewerModel:
         return Tensor(arr)
 
     def representation(self, v: Tensor) -> tuple[Tensor, Tensor]:
-        """Task representations (classifier view, generator view) of features ``v``."""
-        if v.data.shape != (self.config.feature_dim,):
+        """Task representations (classifier view, generator view) of features
+        ``v``: one vector or rows [B, feature_dim]."""
+        if v.data.ndim not in (1, 2) or v.data.shape[-1] != self.config.feature_dim:
             raise ShapeError(
                 f"representation input of shape {v.data.shape} does not match feature width "
                 f"{self.config.feature_dim}")
@@ -221,50 +245,110 @@ class ReviewerModel:
     def aesthetics_loss(self, rep_cls: Tensor, label: int) -> Tensor:
         return cross_entropy(self.class_logits(rep_cls), int(label))
 
-    def _run_cells(self, state: list[LSTMState], x: Tensor, keep: float,
-                   rng: np.random.Generator | None) -> list[LSTMState]:
-        # dropout on the non-recurrent connections only: cell inputs and the
-        # handoff between stacked cells; the h->h / c->c paths stay intact
+    def _dropout_masks(self, steps: np.ndarray, keep: float,
+                       rng: np.random.Generator) -> list[np.ndarray]:
+        """Keep-masks [B, T, width] of the decoder's non-recurrent connections:
+        the cell inputs, each handoff between stacked cells, and the output.
+
+        Each row draws its masks with one ``rng.random`` call, in the order of
+        the step-by-step recurrence: at the image step the input, then the
+        handoffs; at every later step the input, the handoffs, then the output
+        (the image step predicts nothing, so it has no output dropout).
+        """
+        widths = [self.config.embed_dim] + [self.config.hidden_dim] * len(self.cells)
+        offsets = np.cumsum([0] + widths)
+        masks = [np.ones((len(steps), int(steps.max()), w), dtype=bool) for w in widths]
+        for b, n in enumerate(steps):
+            keeps = rng.random(offsets[-2] + (n - 1) * offsets[-1]) < keep
+            later = keeps[offsets[-2]:].reshape(n - 1, offsets[-1])
+            for k, mask in enumerate(masks):
+                if k + 1 < len(masks):
+                    mask[b, 0] = keeps[offsets[k]:offsets[k + 1]]
+                mask[b, 1:n] = later[:, offsets[k]:offsets[k + 1]]
+        return masks
+
+    def _language(self, rep_gen: Tensor, captions: Sequence[Sequence[int]], keep: float,
+                  rng: np.random.Generator | None) -> tuple[Tensor, Tensor]:
+        """Teacher-forced decode of rows ``rep_gen`` [B, D]: the image step,
+        START, then the caption tokens, padded to the longest caption.
+
+        Returns the summed cross-entropy of predicting every caption token and
+        each terminating END, and the token logits [B, T, V].
+        """
+        if self.embedding is None:
+            raise ContractError(f"variant {self.variant.value} has no language head")
+        captions = [[int(t) for t in caption] for caption in captions]
+        if not all(captions):
+            raise ContractError("caption must be non-empty")
+        # steps per row: the image step, START, then every caption token
+        steps = np.array([len(caption) + 2 for caption in captions])
+        n, width = len(captions), int(steps.max())
+        tokens = np.full((n, width - 1), PAD_ID)
+        targets = np.full((n, width), PAD_ID)
+        for b, caption in enumerate(captions):
+            tokens[b, :len(caption) + 1] = [START_ID] + caption
+            targets[b, 1:len(caption) + 2] = caption + [END_ID]
+        scored = (np.arange(width) >= 1) & (np.arange(width) < steps[:, None])
+
+        x_img = self.gen_adapter(rep_gen) if self.gen_adapter is not None else rep_gen
+        h = concat([reshape(x_img, (n, 1, -1)), self.embedding(tokens)], axis=1)
+        # dropout on the non-recurrent connections only: cell inputs, the
+        # handoff between stacked cells and the output; h->h / c->c stay intact
+        masks = None
         if keep < 1.0:
-            x = dropout(x, keep, rng=rng)
-        new_state = []
-        for k, (cell, st) in enumerate(zip(self.cells, state)):
-            st = cell.step(st, x)
-            new_state.append(st)
-            x = st.h
-            if keep < 1.0 and k + 1 < len(self.cells):
-                x = dropout(x, keep, rng=rng)
-        return new_state
+            if rng is None:
+                raise ContractError("dropout below keep=1 needs an rng")
+            masks = self._dropout_masks(steps, keep, rng)
+        for k, cell in enumerate(self.cells):
+            if masks is not None:
+                h = dropout(h, keep, mask=masks[k])
+            h = cell.sequence(h, steps)
+        if masks is not None:
+            h = dropout(h, keep, mask=masks[-1])
+        logits = self.out_proj(h)
+        return cross_entropy(logits, targets, scored), logits
+
+    def batch_forward(self, inputs: Sequence[np.ndarray], labels: Sequence[int] | None = None,
+                      captions: Sequence[Sequence[int]] | None = None, *, alpha: float = 1.0,
+                      beta: float = 1.0, dropout_keep: float = 1.0,
+                      rng: np.random.Generator | None = None) -> BatchOutput:
+        """Forward pass over a batch of examples at once.
+
+        The representation and classifier layers run row-wise, and each
+        stacked cell runs the padded captions as one ``lstm_sequence``.
+        Dropout below ``dropout_keep`` = 1 draws its masks from ``rng``.
+        """
+        if not len(inputs):
+            raise ContractError("a batch needs at least one example")
+        if alpha < 0 or beta < 0:
+            raise ContractError(f"loss weights must be non-negative, got alpha={alpha}, beta={beta}")
+        n = len(inputs)
+        v = concat([reshape(self.image_representation(x), (1, -1)) for x in inputs], axis=0)
+        rep_cls, rep_gen = self.representation(v)
+        class_logits = token_logits = aesthetics = language = loss = None
+        if self.variant.has_classifier:
+            class_logits = self.class_logits(rep_cls)
+            if labels is not None:
+                aesthetics = cross_entropy(class_logits, np.asarray(labels, dtype=np.int64))
+        if self.variant.has_generator and captions is not None:
+            language, token_logits = self._language(rep_gen, captions, dropout_keep, rng)
+        if self.variant.multi_task:
+            if aesthetics is not None and language is not None:
+                loss = add(scale(aesthetics, alpha / n), scale(language, beta / n))
+        elif aesthetics is not None or language is not None:
+            loss = scale(aesthetics if aesthetics is not None else language, 1.0 / n)
+        return BatchOutput(class_logits, token_logits, aesthetics, language, loss)
 
     def language_forward(self, rep_gen: Tensor, caption: list[int], *,
                          dropout_keep: float = 1.0,
                          rng: np.random.Generator | None = None) -> tuple[Tensor, list[Tensor]]:
-        """Teacher-forced decode: image step, START, then the caption tokens.
+        """Teacher-forced decode of one example: image step, START, then the caption tokens.
 
         Returns the summed cross-entropy of predicting each caption token and
         the terminating END, plus the per-step logit vectors (length L+1).
         """
-        if self.embedding is None:
-            raise ContractError(f"variant {self.variant.value} has no language head")
-        caption = [int(t) for t in caption]
-        if not caption:
-            raise ContractError("caption must be non-empty")
-        x_img = self.gen_adapter(rep_gen) if self.gen_adapter is not None else rep_gen
-        state = [LSTMState.zeros(self.config.hidden_dim) for _ in self.cells]
-        state = self._run_cells(state, x_img, dropout_keep, rng)
-
-        step_logits: list[Tensor] = []
-        loss: Tensor | None = None
-        for inp, target in zip([START_ID] + caption, caption + [END_ID]):
-            state = self._run_cells(state, self.embedding(inp), dropout_keep, rng)
-            h = state[-1].h
-            if dropout_keep < 1.0:
-                h = dropout(h, dropout_keep, rng=rng)
-            logits = self.out_proj(h)
-            step_logits.append(logits)
-            term = cross_entropy(logits, target)
-            loss = term if loss is None else add(loss, term)
-        return loss, step_logits
+        loss, logits = self._language(reshape(rep_gen, (1, -1)), [caption], dropout_keep, rng)
+        return loss, [Tensor(row) for row in logits.data[0, 1:]]
 
     def language_loss(self, rep_gen: Tensor, caption: list[int], **kwargs) -> Tensor:
         return self.language_forward(rep_gen, caption, **kwargs)[0]
@@ -273,28 +357,21 @@ class ReviewerModel:
                 caption: list[int] | None = None, *, alpha: float = 1.0, beta: float = 1.0,
                 dropout_keep: float = 1.0,
                 rng: np.random.Generator | None = None) -> ForwardOutput:
-        v = self.image_representation(inputs)
-        rep_cls, rep_gen = self.representation(v)
-        class_logits = aesthetics = language = joint = None
-        step_logits: list[Tensor] = []
-        if self.variant.has_classifier:
-            class_logits = self.class_logits(rep_cls)
-            if label is not None:
-                aesthetics = cross_entropy(class_logits, int(label))
-        if self.variant.has_generator and caption is not None:
-            language, step_logits = self.language_forward(
-                rep_gen, caption, dropout_keep=dropout_keep, rng=rng)
-        if self.variant.multi_task and aesthetics is not None and language is not None:
-            joint = add(scale(aesthetics, alpha), scale(language, beta))
-        return ForwardOutput(class_logits, step_logits, aesthetics, language, joint)
+        """One example: the one-row case of ``batch_forward``."""
+        out = self.batch_forward([inputs], None if label is None else [label],
+                                 None if caption is None else [caption], alpha=alpha, beta=beta,
+                                 dropout_keep=dropout_keep, rng=rng)
+        class_logits = None if out.class_logits is None else Tensor(out.class_logits.data[0])
+        step_logits = ([] if out.token_logits is None
+                       else [Tensor(row) for row in out.token_logits.data[0, 1:]])
+        joint = out.loss if self.variant.multi_task else None
+        return ForwardOutput(class_logits, step_logits, out.aesthetics, out.language, joint)
 
     def joint_loss(self, inputs: np.ndarray, label: int, caption: list[int],
                    alpha: float = 1.0, beta: float = 1.0, *, dropout_keep: float = 1.0,
                    rng: np.random.Generator | None = None) -> Tensor:
         if not self.variant.multi_task:
             raise ContractError(f"joint loss is defined for multi-task variants, not {self.variant.value}")
-        if alpha < 0 or beta < 0:
-            raise ContractError(f"loss weights must be non-negative, got alpha={alpha}, beta={beta}")
         out = self.forward(inputs, label, caption, alpha=alpha, beta=beta,
                            dropout_keep=dropout_keep, rng=rng)
         return out.joint
@@ -353,14 +430,8 @@ class Decoder:
 
     def _step(self, state, x: np.ndarray):
         new = []
-        for (wi, wh, b, hd), (h, c) in zip(self._layers, state):
-            gates = wi @ x + wh @ h + b
-            i = stable_sigmoid(gates[:hd])
-            f = stable_sigmoid(gates[hd:2 * hd])
-            g = np.tanh(gates[2 * hd:3 * hd])
-            o = stable_sigmoid(gates[3 * hd:])
-            c = f * c + i * g
-            h = o * np.tanh(c)
+        for (wi, wh, b, _), (h, c) in zip(self._layers, state):
+            h, c, _ = lstm_cell(wi @ x + wh @ h + b, c)
             new.append((h, c))
             x = h
         return tuple(new)
@@ -393,7 +464,7 @@ def save_checkpoint(model: ReviewerModel, path: str | Path) -> None:
         for dim in data.shape:
             buf += struct.pack("<I", dim)
         buf += np.ascontiguousarray(data, dtype="<f8").tobytes()
-    Path(path).write_bytes(bytes(buf))
+    write_atomic(path, bytes(buf))
 
 
 def _read_exact(raw: bytes, offset: int, size: int, path: Path) -> tuple[bytes, int]:

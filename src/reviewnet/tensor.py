@@ -27,19 +27,18 @@ __all__ = [
     "cross_entropy",
     "dropout",
     "embedding_lookup",
-    "flatten",
+    "linear",
+    "lstm_cell",
+    "lstm_sequence",
     "matmul",
     "max_pool2",
-    "mean_stack",
     "mul",
     "relu",
+    "reshape",
     "scale",
-    "sigmoid",
-    "slice1d",
     "softmax",
     "stable_sigmoid",
     "sum_all",
-    "tanh",
     "topo_order",
 ]
 
@@ -216,26 +215,6 @@ def relu(x: Tensor) -> Tensor:
     return _track(np.maximum(x.data, 0.0), (x,), grad_fn)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    s = stable_sigmoid(x.data)
-
-    def grad_fn(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x.grad += g * s * (1.0 - s)
-
-    return _track(s, (x,), grad_fn)
-
-
-def tanh(x: Tensor) -> Tensor:
-    t = np.tanh(x.data)
-
-    def grad_fn(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x.grad += g * (1.0 - t * t)
-
-    return _track(t, (x,), grad_fn)
-
-
 def softmax(logits: Tensor) -> Tensor:
     """Stable softmax over a vector (max is subtracted before exponentiation)."""
     if logits.data.ndim != 1 or logits.data.size == 0:
@@ -253,76 +232,243 @@ def softmax(logits: Tensor) -> Tensor:
     return _track(s, (logits,), grad_fn)
 
 
-def cross_entropy(logits: Tensor, target: int) -> Tensor:
-    """-log softmax(logits)[target], computed through log-sum-exp."""
-    if logits.data.ndim != 1:
-        raise ShapeError(f"cross_entropy needs a logit vector, got shape {logits.data.shape}")
-    n = logits.data.size
-    t = int(target)
-    if not 0 <= t < n:
-        raise IndexError(f"target {t} out of range for {n} classes")
-    z = logits.data - logits.data.max()
+def _int_indices(values, bound: int, what: str) -> np.ndarray:
+    """``values`` (an int or an int array) as an index array, each in [0, bound)."""
+    idx = np.asarray(values)
+    if idx.dtype.kind not in "iu":
+        raise ContractError(f"{what} must be integers, got dtype {idx.dtype}")
+    bad = idx[(idx < 0) | (idx >= bound)]
+    if bad.size:
+        raise IndexError(f"{what} {int(bad.flat[0])} out of range [0, {bound})")
+    return idx
+
+
+def cross_entropy(logits: Tensor, target, mask: np.ndarray | None = None) -> Tensor:
+    """Summed -log softmax(row)[target] over the rows of ``logits``.
+
+    ``logits`` is one logit vector or rows [..., classes]; ``target`` is an int
+    or an int array over the rows. ``mask``, a boolean array over the rows,
+    selects the rows that count (padding positions pass no gradient).
+    Computed through log-sum-exp.
+    """
+    ld = logits.data
+    if ld.ndim < 1 or ld.shape[-1] == 0:
+        raise ShapeError(f"cross_entropy needs logit rows, got shape {ld.shape}")
+    n = ld.shape[-1]
+    t = _int_indices(target, n, "target")
+    if t.shape != ld.shape[:-1]:
+        raise ShapeError(f"cross_entropy: targets of shape {t.shape} for logits {ld.shape}")
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != t.shape:
+            raise ShapeError(f"cross_entropy: mask of shape {mask.shape} for targets {t.shape}")
+    z = ld - ld.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    se = e.sum()
+    se = e.sum(axis=-1, keepdims=True)
     probs = e / se
-    loss = np.log(se) - z[t]
+    rows = np.log(se[..., 0]) - np.take_along_axis(z, t[..., None], axis=-1)[..., 0]
+    if mask is not None:
+        rows = np.where(mask, rows, 0.0)
 
     def grad_fn(g: np.ndarray) -> None:
         if logits.requires_grad:
             d = probs.copy()
-            d[t] -= 1.0
+            flat = d.reshape(-1, n)
+            flat[np.arange(flat.shape[0]), t.reshape(-1)] -= 1.0
+            if mask is not None:
+                d *= mask[..., None]
             logits.grad += float(g) * d
 
-    return _track(np.asarray(loss), (logits,), grad_fn)
+    return _track(np.asarray(rows.sum()), (logits,), grad_fn)
 
 
-def concat(tensors: Sequence[Tensor]) -> Tensor:
-    """Concatenate along the last axis."""
+def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
+    """Concatenate along ``axis`` (the last by default)."""
     ts = list(tensors)
     if not ts:
         raise ContractError("concat needs at least one tensor")
-    lead = ts[0].data.shape[:-1]
-    if any(t.data.shape[:-1] != lead for t in ts):
-        raise ShapeError(f"concat: leading dims differ: {[t.data.shape for t in ts]}")
-    out = np.concatenate([t.data for t in ts], axis=-1)
+    try:
+        out = np.concatenate([t.data for t in ts], axis=axis)
+    except ValueError:  # numpy's AxisError is one too
+        raise ShapeError(f"concat: shapes {[t.data.shape for t in ts]} do not join "
+                         f"on axis {axis}") from None
+    ax = axis % out.ndim
 
     def grad_fn(g: np.ndarray) -> None:
         off = 0
         for t in ts:
-            n = t.data.shape[-1]
+            n = t.data.shape[ax]
             if t.requires_grad:
-                t.grad += g[..., off:off + n]
+                t.grad += g[(slice(None),) * ax + (slice(off, off + n),)]
             off += n
 
     return _track(out, ts, grad_fn)
 
 
-def slice1d(x: Tensor, start: int, stop: int) -> Tensor:
-    if x.data.ndim != 1:
-        raise ShapeError(f"slice1d needs a vector, got shape {x.data.shape}")
-    if not 0 <= start <= stop <= x.data.size:
-        raise IndexError(f"slice [{start}:{stop}] out of range for length {x.data.size}")
+def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
+    """The same entries in a new shape (one dimension may be -1)."""
+    src = x.data.shape
+    try:
+        out = x.data.reshape(shape)
+    except ValueError:
+        raise ShapeError(f"reshape: cannot view shape {src} as {tuple(shape)}") from None
 
     def grad_fn(g: np.ndarray) -> None:
         if x.requires_grad:
-            x.grad[start:stop] += g
+            x.grad += g.reshape(src)
 
-    return _track(x.data[start:stop].copy(), (x,), grad_fn)
+    return _track(out, (x,), grad_fn)
 
 
-def embedding_lookup(table: Tensor, token_id: int) -> Tensor:
-    """Row ``token_id`` of a [vocab, dim] table; the gradient lands on that row only."""
+def embedding_lookup(table: Tensor, token_id) -> Tensor:
+    """Rows of a [vocab, dim] table: one id gives a vector, an id array of
+    shape S gives S + (dim,). The gradient lands on the looked-up rows only."""
     if table.data.ndim != 2:
         raise ShapeError(f"embedding table must be 2-d, got shape {table.data.shape}")
-    idx = int(token_id)
-    if not 0 <= idx < table.data.shape[0]:
-        raise IndexError(f"token id {idx} out of range for vocabulary of {table.data.shape[0]}")
+    idx = _int_indices(token_id, table.data.shape[0], "token id")
 
     def grad_fn(g: np.ndarray) -> None:
         if table.requires_grad:
-            table.grad[idx] += g
+            # ids repeat within a batch, so the rows are accumulated unbuffered
+            np.add.at(table.grad, idx.reshape(-1), g.reshape(-1, table.data.shape[1]))
 
-    return _track(table.data[idx].copy(), (table,), grad_fn)
+    return _track(np.take(table.data, idx, axis=0), (table,), grad_fn)
+
+
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """``weight @ x + bias`` on a vector, or ``x @ weight.T + bias`` on rows
+    [..., in] as one GEMM over all rows."""
+    xd, wd = x.data, weight.data
+    if wd.ndim != 2 or xd.ndim < 1 or xd.shape[-1] != wd.shape[1]:
+        raise ShapeError(f"linear: input {xd.shape} does not fit weight {wd.shape}")
+    if bias is not None and bias.data.shape != (wd.shape[0],):
+        raise ShapeError(f"linear: bias {bias.data.shape} does not fit weight {wd.shape}")
+    rows = xd.reshape(-1, wd.shape[1])
+    # a vector keeps the matvec order that decoding and class prediction use
+    out = wd @ xd if xd.ndim == 1 else (rows @ wd.T).reshape(xd.shape[:-1] + (wd.shape[0],))
+    if bias is not None:
+        out = out + bias.data
+
+    def grad_fn(g: np.ndarray) -> None:
+        g_rows = g.reshape(-1, wd.shape[0])
+        if weight.requires_grad:
+            weight.grad += g[:, None] * xd if xd.ndim == 1 else g_rows.T @ rows
+        if bias is not None and bias.requires_grad:
+            bias.grad += g if xd.ndim == 1 else g_rows.sum(axis=0)
+        if x.requires_grad:
+            x.grad += wd.T @ g if xd.ndim == 1 else (g_rows @ wd).reshape(xd.shape)
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return _track(out, parents, grad_fn)
+
+
+def lstm_cell(gates: np.ndarray, c: np.ndarray):
+    """One LSTM cell update on plain arrays.
+
+    ``gates`` [..., 4H] are the pre-activations, rows ordered input, forget,
+    candidate, output; ``c`` [..., H] is the previous cell state. Returns
+    ``(h, c, (i, f, g, o, tanh(c)))``, the activations being what the
+    backward pass needs.
+    """
+    hd = c.shape[-1]
+    i = stable_sigmoid(gates[..., :hd])
+    f = stable_sigmoid(gates[..., hd:2 * hd])
+    g = np.tanh(gates[..., 2 * hd:3 * hd])
+    o = stable_sigmoid(gates[..., 3 * hd:])
+    c = f * c + i * g
+    tc = np.tanh(c)
+    return o * tc, c, (i, f, g, o, tc)
+
+
+def lstm_sequence(x: Tensor, h0: Tensor | None, c0: Tensor | None, w_input: Tensor,
+                  w_hidden: Tensor, bias: Tensor,
+                  lengths: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+    """An LSTM unrolled over the time axis of ``x`` [B, T, E]; returns the
+    hidden and cell states after every step, (h, c), each [B, T, H].
+
+    The state starts at (``h0``, ``c0``) [B, H], zeros when None. Row b runs
+    ``lengths[b]`` steps (all T when None); its outputs after that are zero
+    and pass no gradient. The forward makes one input-projection GEMM over all
+    B*T rows and one recurrent GEMM per step. The backward is hand-written
+    BPTT: it stores the gate gradients of every step and returns the weight
+    gradients as single GEMMs over the B*T rows.
+    """
+    xd, wi, wh, b = x.data, w_input.data, w_hidden.data, bias.data
+    if xd.ndim != 3:
+        raise ShapeError(f"lstm_sequence needs inputs [batch, time, width], got {xd.shape}")
+    n, steps, width = xd.shape
+    hd = wh.shape[1]
+    if wh.shape != (4 * hd, hd) or wi.shape != (4 * hd, width) or b.shape != (4 * hd,):
+        raise ShapeError(f"lstm_sequence: weights {wi.shape}, {wh.shape}, bias {b.shape} "
+                         f"do not fit inputs of width {width}")
+    h_init = np.zeros((n, hd)) if h0 is None else h0.data
+    c_init = np.zeros((n, hd)) if c0 is None else c0.data
+    if h_init.shape != (n, hd) or c_init.shape != (n, hd):
+        raise ShapeError(f"lstm_sequence: initial state {h_init.shape}, {c_init.shape} "
+                         f"for batch {n} and width {hd}")
+    valid = None
+    if lengths is not None:
+        lengths = np.asarray(lengths)
+        if lengths.shape != (n,) or np.any(lengths < 1) or np.any(lengths > steps):
+            raise ShapeError(f"lstm_sequence: lengths {lengths} for {n} rows of {steps} steps")
+        valid = (np.arange(steps) < lengths[:, None])[..., None]
+
+    xw = (xd.reshape(n * steps, width) @ wi.T).reshape(n, steps, 4 * hd) + b
+    hs = np.empty((n, steps, hd))
+    cs = np.empty((n, steps, hd))
+    acts = np.empty((5, n, steps, hd))  # i, f, g, o, tanh(c) per step
+    h, c = h_init, c_init
+    for t in range(steps):
+        h, c, step_acts = lstm_cell(xw[:, t] + h @ wh.T, c)
+        hs[:, t], cs[:, t] = h, c
+        for k, a in enumerate(step_acts):
+            acts[k, :, t] = a
+    c_seen: list[np.ndarray] = []
+
+    def grad_fn(gh: np.ndarray) -> None:
+        gc = c_seen[-1] if c_seen else np.zeros_like(cs)
+        if valid is not None:
+            gh, gc = gh * valid, gc * valid
+        dgates = np.empty((n, steps, 4 * hd))
+        dh = np.zeros((n, hd))
+        dc = np.zeros((n, hd))
+        for t in range(steps - 1, -1, -1):
+            i, f, g, o, tc = acts[:, :, t]
+            dh = dh + gh[:, t]
+            dc = dc + gc[:, t] + dh * o * (1.0 - tc * tc)
+            c_prev = cs[:, t - 1] if t else c_init
+            dg = dgates[:, t]
+            dg[:, :hd] = dc * g * i * (1.0 - i)
+            dg[:, hd:2 * hd] = dc * c_prev * f * (1.0 - f)
+            dg[:, 2 * hd:3 * hd] = dc * i * (1.0 - g * g)
+            dg[:, 3 * hd:] = dh * tc * o * (1.0 - o)
+            dc = dc * f
+            dh = dg @ wh
+        rows = dgates.reshape(n * steps, 4 * hd)
+        if w_input.requires_grad:
+            w_input.grad += rows.T @ xd.reshape(n * steps, width)
+        if w_hidden.requires_grad:
+            h_prev = np.concatenate([h_init[:, None], hs[:, :-1]], axis=1)
+            w_hidden.grad += rows.T @ h_prev.reshape(n * steps, hd)
+        if bias.requires_grad:
+            bias.grad += rows.sum(axis=0)
+        if x.requires_grad:
+            x.grad += (rows @ wi).reshape(n, steps, width)
+        if h0 is not None and h0.requires_grad:
+            h0.grad += dh
+        if c0 is not None and c0.requires_grad:
+            c0.grad += dc
+
+    if valid is not None:
+        hs_out, cs_out = hs * valid, cs * valid
+    else:
+        hs_out, cs_out = hs, cs
+    parents = [t for t in (x, h0, c0, w_input, w_hidden, bias) if t is not None]
+    h_out = _track(hs_out, parents, grad_fn)
+    # the cell states are recorded as a child of h_out, so backward reaches them
+    # first; they hand their gradient to h_out's BPTT instead of a parent
+    c_out = _track(cs_out, (h_out,), c_seen.append)
+    return h_out, c_out
 
 
 def dropout(x: Tensor, keep: float, *, rng: np.random.Generator | None = None,
@@ -352,27 +498,6 @@ def dropout(x: Tensor, keep: float, *, rng: np.random.Generator | None = None,
             x.grad += g * scaled
 
     return _track(x.data * scaled, (x,), grad_fn)
-
-
-def mean_stack(tensors: Sequence[Tensor]) -> Tensor:
-    """Elementwise mean of same-shape tensors (the batch reduction)."""
-    ts = list(tensors)
-    if not ts:
-        raise ContractError("mean_stack needs at least one tensor")
-    shape = ts[0].data.shape
-    if any(t.data.shape != shape for t in ts):
-        raise ShapeError(f"mean_stack: shapes differ: {[t.data.shape for t in ts]}")
-    inv = 1.0 / len(ts)
-    out = ts[0].data * inv
-    for t in ts[1:]:
-        out = out + t.data * inv
-
-    def grad_fn(g: np.ndarray) -> None:
-        for t in ts:
-            if t.requires_grad:
-                t.grad += g * inv
-
-    return _track(out, ts, grad_fn)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -460,13 +585,3 @@ def max_pool2(x: Tensor) -> Tensor:
             x.grad += gx
 
     return _track(out, (x,), grad_fn)
-
-
-def flatten(x: Tensor) -> Tensor:
-    shape = x.data.shape
-
-    def grad_fn(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x.grad += g.reshape(shape)
-
-    return _track(x.data.reshape(-1).copy(), (x,), grad_fn)

@@ -8,17 +8,19 @@ metric: the joint loss for multi-task variants, the task loss otherwise.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import MAX_CAPTION_LEN, ReviewDataset, ReviewExample, Vocabulary, tokenize
+from .dataset import (MAX_CAPTION_LEN, ReviewDataset, ReviewExample, Vocabulary, tokenize,
+                      write_atomic)
 from .errors import ConfigError, ContractError, NumericError
 from .inference import greedy_decode, predict_class, strip_end
 from .metrics import EvalPair, bleu
 from .model import ReviewerModel
-from .tensor import Tensor, backward, mean_stack
+from .tensor import Tensor, backward
 
 
 @dataclass
@@ -89,35 +91,52 @@ def make_instances(examples: list[ReviewExample], vocab: Vocabulary | None,
     return instances
 
 
+def batch_loss(model: ReviewerModel, batch: list[Instance], config: TrainConfig,
+               rng: np.random.Generator | None) -> Tensor:
+    """The training objective of a batch, its mean per-instance loss; dropout
+    is on only when an ``rng`` is given."""
+    keep = config.dropout_keep if rng is not None else 1.0
+    return model.batch_forward(
+        [inst.inputs for inst in batch],
+        [inst.label for inst in batch] if model.variant.has_classifier else None,
+        [inst.caption for inst in batch] if model.variant.has_generator else None,
+        alpha=config.alpha, beta=config.beta, dropout_keep=keep, rng=rng).loss
+
+
 def instance_loss(model: ReviewerModel, inst: Instance, config: TrainConfig,
                   rng: np.random.Generator | None) -> Tensor:
-    keep = config.dropout_keep if rng is not None else 1.0
-    if model.variant.multi_task:
-        return model.joint_loss(inst.inputs, inst.label, list(inst.caption),
-                                config.alpha, config.beta, dropout_keep=keep, rng=rng)
-    out = model.forward(inst.inputs,
-                        label=inst.label if model.variant.has_classifier else None,
-                        caption=list(inst.caption) if model.variant.has_generator else None,
-                        dropout_keep=keep, rng=rng)
-    return out.aesthetics if model.variant.has_classifier else out.language
+    return batch_loss(model, [inst], config, rng)
 
 
 def sgd_step(model: ReviewerModel, batch: list[Instance], config: TrainConfig,
              rng: np.random.Generator | None = None) -> float:
-    """One update: p <- p - lr * grad of the mean batch loss."""
+    """One update: p <- p - lr * grad of the mean batch loss.
+
+    Raises ``NumericError`` before any parameter changes when the loss, a
+    gradient or the clipping norm is not finite.
+    """
     if not batch:
         raise ContractError("sgd_step needs a non-empty batch")
     model.zero_grad()
-    losses = [instance_loss(model, inst, config, rng) for inst in batch]
-    total = mean_stack(losses)
+    total = batch_loss(model, batch, config, rng)
     value = float(total.data)
-    if not np.isfinite(value):
+
+    def fail(what: str) -> NumericError:
         ids = sorted({inst.example_id for inst in batch})
-        raise NumericError(f"non-finite loss {value} on batch of examples {ids}")
+        return NumericError(f"{what} on batch of examples {ids}")
+
+    if not np.isfinite(value):
+        raise fail(f"non-finite loss {value}")
     backward(total)
     params = model.trainable_parameters()
+    for name, p in params.items():
+        if not np.all(np.isfinite(p.grad)):
+            raise fail(f"non-finite gradient of {name}")
     if config.clip_norm is not None:
-        norm = float(np.sqrt(sum(float((p.grad ** 2).sum()) for p in params.values())))
+        with np.errstate(over="ignore"):  # an overflowing norm is raised just below
+            norm = float(np.sqrt(sum(float((p.grad ** 2).sum()) for p in params.values())))
+        if not np.isfinite(norm):
+            raise fail(f"non-finite gradient norm {norm}")
         if norm > config.clip_norm:
             factor = config.clip_norm / norm
             for p in params.values():
@@ -129,9 +148,11 @@ def sgd_step(model: ReviewerModel, batch: list[Instance], config: TrainConfig,
 
 def _mean_valid_loss(model: ReviewerModel, instances: list[Instance],
                      config: TrainConfig) -> float:
+    """Mean per-instance loss, evaluated in batches of ``config.batch_size``."""
     total = 0.0
-    for inst in instances:
-        total += float(instance_loss(model, inst, config, None).data)
+    for start in range(0, len(instances), config.batch_size):
+        chunk = instances[start:start + config.batch_size]
+        total += float(batch_loss(model, chunk, config, None).data) * len(chunk)
     return total / len(instances)
 
 
@@ -187,12 +208,13 @@ def train(model: ReviewerModel, dataset: ReviewDataset, config: TrainConfig) -> 
 
 
 def write_metrics_csv(log: list[EpochStats], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "valid_loss", "valid_accuracy"])
-        for row in log:
-            acc = "" if row.valid_accuracy is None else repr(row.valid_accuracy)
-            writer.writerow([row.epoch, repr(row.train_loss), repr(row.valid_loss), acc])
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["epoch", "train_loss", "valid_loss", "valid_accuracy"])
+    for row in log:
+        acc = "" if row.valid_accuracy is None else repr(row.valid_accuracy)
+        writer.writerow([row.epoch, repr(row.train_loss), repr(row.valid_loss), acc])
+    write_atomic(path, text.getvalue().encode("utf-8"))
 
 
 def _valid_bleu1(model: ReviewerModel, examples: list[ReviewExample], vocab: Vocabulary,

@@ -7,7 +7,7 @@ from reviewnet.dataset import END_ID, START_ID
 from reviewnet.errors import ContractError, DataError, ShapeError
 from reviewnet.model import (CHECKPOINT_MAGIC, ModelConfig, ReviewerModel, Variant,
                              load_checkpoint, save_checkpoint)
-from reviewnet.tensor import Tensor, backward, mean_stack
+from reviewnet.tensor import Tensor, backward
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +180,7 @@ def test_batch_loss_equals_mean_of_singles(rng):
     model = tiny_model("model1", seed=4)
     instances = [(rng.normal(size=8), int(rng.integers(0, 2)), [4, 5 + i]) for i in range(4)]
     singles = [model.joint_loss(f, y, c).item() for f, y, c in instances]
-    batch = mean_stack([model.joint_loss(f, y, c) for f, y, c in instances]).item()
+    batch = model.batch_forward(*zip(*instances)).loss.item()
     assert batch == pytest.approx(float(np.mean(singles)), abs=1e-12)
 
 
@@ -371,3 +371,22 @@ def test_checkpoint_rejects_corruption(tmp_path):
 def test_checkpoint_missing_file():
     with pytest.raises(DataError):
         load_checkpoint("/nonexistent/model.ckpt")
+
+
+def test_checkpoint_write_failing_midway_keeps_previous_file(tmp_path, monkeypatch, rng):
+    import os
+
+    model = tiny_model("model1", seed=1)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    before = path.read_bytes()
+    randomize_params(model, rng)
+
+    def failing_fsync(fd):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "fsync", failing_fsync)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(model, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]

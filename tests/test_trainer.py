@@ -4,8 +4,8 @@ import pytest
 from conftest import tiny_model
 from reviewnet.dataset import build_vocab, synth_dataset, tokenize
 from reviewnet.errors import ConfigError, NumericError
-from reviewnet.tensor import Tensor, backward, mul, sum_all
-from reviewnet.trainer import (TrainConfig, make_instances, sgd_step, train,
+from reviewnet.tensor import Tensor, backward, mul, sum_all, topo_order
+from reviewnet.trainer import (TrainConfig, batch_loss, make_instances, sgd_step, train,
                                tune_alpha_beta, write_metrics_csv)
 
 
@@ -195,3 +195,74 @@ def test_tune_selection_is_never_dominated():
     chosen_key = evaluate(chosen)
     for pair in grid:
         assert evaluate(pair) <= chosen_key
+
+
+def _plant_nan_gradient(monkeypatch):
+    """Make every backward pass in the trainer leave a NaN in one parameter's gradient."""
+    from reviewnet import trainer as trainer_module
+
+    real_backward = trainer_module.backward
+
+    def backward_with_nan(loss):
+        real_backward(loss)
+        leaf = next(node for node in topo_order(loss) if not node._parents)
+        leaf.grad.flat[0] = np.nan
+
+    monkeypatch.setattr(trainer_module, "backward", backward_with_nan)
+
+
+def test_sgd_step_rejects_non_finite_gradient_before_updating(monkeypatch):
+    ds = synth_with_vocab()
+    model = fresh_model("model2", ds, seed=3)
+    _plant_nan_gradient(monkeypatch)
+    before = {name: p.data.tobytes() for name, p in model.params.items()}
+    batch = make_instances(ds.split("train"), ds.vocab, 30)[:4]
+    for clip_norm in (None, 1.0):
+        with pytest.raises(NumericError, match=r"non-finite gradient.*img"):
+            sgd_step(model, batch, TrainConfig(epochs=1, clip_norm=clip_norm), rng=None)
+        assert {name: p.data.tobytes() for name, p in model.params.items()} == before
+
+
+def test_sgd_step_rejects_overflowing_clip_norm():
+    ds = synth_with_vocab()
+    model = fresh_model("model1", ds, seed=3)
+    before = {name: p.data.tobytes() for name, p in model.params.items()}
+    batch = make_instances(ds.split("train"), ds.vocab, 30)[:2]
+    # the loss and every gradient stay finite, but squared gradients of ~1e200 overflow
+    config = TrainConfig(epochs=1, clip_norm=1.0, alpha=1e200)
+    with pytest.raises(NumericError, match=r"gradient norm inf.*img"):
+        sgd_step(model, batch, config, rng=None)
+    assert {name: p.data.tobytes() for name, p in model.params.items()} == before
+
+
+def test_train_cli_exits_4_on_non_finite_gradient(monkeypatch, tmp_path):
+    from reviewnet.cli import main
+
+    data = tmp_path / "data"
+    assert main(["synth-data", "--seed", "3", "--n-images", "10", "--out", str(data)]) == 0
+    assert main(["build-vocab", "--data", str(data)]) == 0
+    _plant_nan_gradient(monkeypatch)
+    ckpt = tmp_path / "m.ckpt"
+    assert main(["train", "--data", str(data), "--variant", "model1", "--epochs", "1",
+                 "--out", str(ckpt), "--embed-dim", "8", "--hidden-dim", "8",
+                 "--batch-size", "4"]) == 4
+    assert not ckpt.exists()
+
+
+def test_clipped_step_equals_step_on_gradient_scaled_to_clip_norm():
+    ds = synth_with_vocab()
+    batch = make_instances(ds.split("train"), ds.vocab, 30)[:4]
+    config = TrainConfig(epochs=1, dropout_keep=1.0, clip_norm=0.05)
+
+    clipped = fresh_model("model2", ds, seed=3)
+    sgd_step(clipped, batch, config, rng=None)
+
+    reference = fresh_model("model2", ds, seed=3)
+    reference.zero_grad()
+    backward(batch_loss(reference, batch, config, None))
+    grads = {name: p.grad.copy() for name, p in reference.params.items()}
+    norm = np.sqrt(sum(float((g ** 2).sum()) for g in grads.values()))
+    assert norm > config.clip_norm  # the clip is active
+    for name, p in reference.params.items():
+        want = p.data - config.learning_rate * grads[name] * (config.clip_norm / norm)
+        assert np.max(np.abs(clipped.params[name].data - want)) <= 1e-15
