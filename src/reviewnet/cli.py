@@ -22,9 +22,9 @@ from .errors import (ConfigError, ContractError, DataError, NumericError, ShapeE
 from .inference import beam_search, predict_class, strip_end
 from .metrics import EvalPair, MetricReport, overall_accuracy, report_table, score_corpus
 from .model import ModelConfig, ReviewerModel, Variant, load_checkpoint, save_checkpoint
-from .tensor import (Tensor, add, backward, channel_bias, concat, conv2d,
-                     cross_entropy, dropout, embedding_lookup, linear, lstm_sequence,
-                     matmul, max_pool2, mul, relu, reshape, softmax, sum_all)
+from .tensor import (Tensor, add, backward, concat, conv2d, cross_entropy, dropout,
+                     embedding_lookup, linear, lstm_sequence, matmul, max_pool2, mul, relu,
+                     reshape, scale, softmax, sum_all)
 from .trainer import (Instance, TrainConfig, batch_loss, instance_loss, train,
                       tune_alpha_beta, write_metrics_csv)
 
@@ -121,14 +121,13 @@ def _primitive_cases(rng: np.random.Generator):
 
     a, b = param(3, 4), param(4, 2)
     r_mm, r5, r5b, r10, r32 = (rng.normal(size=s) for s in [(3, 2), 5, 5, 10, 32])
-    x_img, kern = param(2, 6, 6), param(3, 2, 3, 3)
+    x_img, kern, kern_b = param(2, 6, 6), param(3, 2, 3, 3), param(3)
     # keep relu inputs away from the kink so finite differences stay clean
     u = Tensor(rng.normal(size=7) + np.where(rng.normal(size=7) > 0, 0.5, -0.5),
                requires_grad=True)
     v, w = param(5), param(5)
     tab = param(6, 4)
     pool_in = param(2, 4, 4)
-    cb_x, cb_b = param(3, 4, 4), param(3)
     mask = rng.random(5) < 0.7
     q, rows, lin_w, lin_b = param(4), param(2, 3, 4), param(5, 4), param(5)
     r_lin = rng.normal(size=(2, 3, 5))
@@ -150,7 +149,7 @@ def _primitive_cases(rng: np.random.Generator):
         ("linear", [q, lin_w, lin_b], lambda: reduce(linear(q, lin_w, lin_b), r5)),
         ("linear rows", [rows, lin_w, lin_b],
          lambda: reduce(linear(rows, lin_w, lin_b), r_lin)),
-        ("conv2d", [x_img, kern], lambda: sum_all(conv2d(x_img, kern, 1))),
+        ("conv2d", [x_img, kern, kern_b], lambda: sum_all(conv2d(x_img, kern, kern_b))),
         ("relu", [u], lambda: sum_all(relu(u))),
         ("softmax", [v], lambda: reduce(softmax(v), r5)),
         ("cross_entropy", [v], lambda: cross_entropy(v, 2)),
@@ -158,17 +157,18 @@ def _primitive_cases(rng: np.random.Generator):
          lambda: cross_entropy(ce_rows, ce_targets, ce_mask)),
         ("add", [v, w], lambda: reduce(add(v, w), r5b)),
         ("mul", [v, w], lambda: sum_all(mul(v, w))),
+        ("scale", [v], lambda: reduce(scale(v, -1.5), r5b)),
+        ("sum_all", [v], lambda: sum_all(v)),
         ("concat", [v, w], lambda: reduce(concat([v, w]), r10)),
         ("concat axis 1", [rows, rows_b],
          lambda: reduce(concat([rows, rows_b], axis=1), r_cat)),
-        ("embedding", [tab], lambda: sum_all(add(embedding_lookup(tab, 2),
-                                                 embedding_lookup(tab, 2)))),
-        ("embedding ids", [tab],
+        ("embedding_lookup", [tab], lambda: sum_all(add(embedding_lookup(tab, 2),
+                                                        embedding_lookup(tab, 2)))),
+        ("embedding_lookup ids", [tab],
          lambda: reduce(embedding_lookup(tab, np.array([[2, 0], [2, 5]])), r_cat[:, :2])),
         ("dropout", [v], lambda: sum_all(dropout(v, 0.7, mask=mask))),
         ("max_pool2", [pool_in], lambda: sum_all(max_pool2(pool_in))),
         ("reshape", [pool_in], lambda: reduce(reshape(pool_in, (-1,)), r32)),
-        ("channel_bias", [cb_x, cb_b], lambda: sum_all(channel_bias(cb_x, cb_b))),
         ("lstm_sequence", [seq_x, seq_h0, seq_c0, seq_wi, seq_wh, seq_b], sequence_loss),
     ]
     return cases
@@ -211,11 +211,11 @@ def gradient_check_suite(seed: int, *, coord_sample: int = 25) -> float:
     for name, params, build in _primitive_cases(rng):
         err = gradient_error(params, build, sample=coord_sample, rng=rng)
         worst = max(worst, err)
-        print(f"primitive {name:<18} max rel error {err:.3e}")
+        print(f"primitive {name:<20} max rel error {err:.3e}")
     for name, model, build in variant_cases(np.random.default_rng(seed), seed + 1):
         err = gradient_error(list(model.params.values()), build, sample=coord_sample, rng=rng)
         worst = max(worst, err)
-        print(f"variant   {name:<18} max rel error {err:.3e}")
+        print(f"variant   {name:<20} max rel error {err:.3e}")
     return worst
 
 

@@ -123,7 +123,7 @@ class Vocabulary:
         return [self.id_to_token[i] for i in ids]
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text("\n".join(self.id_to_token) + "\n", encoding="utf-8")
+        write_atomic(path, ("\n".join(self.id_to_token) + "\n").encode("utf-8"))
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
@@ -290,20 +290,19 @@ def save_dataset(ds: ReviewDataset, out_dir: str | Path) -> None:
             "split": ex.split,
             "comments": ex.comments,
         }))
-    (out_dir / "manifest.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(out_dir / "manifest.jsonl", ("\n".join(lines) + "\n").encode("utf-8"))
 
-    # exactly one payload file may exist, so drop any leftover of the other kind
     if ds.modality == "features":
-        (out_dir / "images.bin").unlink(missing_ok=True)
         payload = np.stack([ex.features for ex in ds.examples]).astype("<f8")
-        count, dim = payload.shape
-        blob = FEATURES_MAGIC + struct.pack("<II", count, dim) + payload.tobytes()
-        (out_dir / "features.bin").write_bytes(blob)
+        header = FEATURES_MAGIC + struct.pack("<II", *payload.shape)
+        name, other = "features.bin", "images.bin"
     else:
-        (out_dir / "features.bin").unlink(missing_ok=True)
         payload = np.stack([ex.image for ex in ds.examples]).astype("<f8")
-        blob = IMAGES_MAGIC + struct.pack("<IIII", payload.shape[0], *IMAGE_SHAPE)
-        (out_dir / "images.bin").write_bytes(blob + payload.tobytes())
+        header = IMAGES_MAGIC + struct.pack("<IIII", payload.shape[0], *IMAGE_SHAPE)
+        name, other = "images.bin", "features.bin"
+    write_atomic(out_dir / name, header + payload.tobytes())
+    # exactly one payload file may exist; the other kind goes only once the new one is in place
+    (out_dir / other).unlink(missing_ok=True)
 
 
 def read_payload(path: str | Path, magic: bytes) -> np.ndarray:

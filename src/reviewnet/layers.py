@@ -6,9 +6,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import dataset
 from .errors import ConfigError, ShapeError
-from .tensor import (Tensor, channel_bias, conv2d, embedding_lookup, linear, lstm_sequence,
-                     max_pool2, relu, reshape)
+from .tensor import (Tensor, conv2d, embedding_lookup, linear, lstm_sequence, max_pool2, relu,
+                     reshape)
 
 
 def uniform_param(rng: np.random.Generator, shape, init_range: float) -> Tensor:
@@ -110,7 +111,7 @@ class TinyConvEncoder:
     width (32 -> 30 -> 15 -> 13 -> 6 spatially).
     """
 
-    IMAGE_SHAPE = (3, 32, 32)
+    IMAGE_SHAPE = dataset.IMAGE_SHAPE
     _FLAT = 16 * 6 * 6
 
     def __init__(self, out_dim: int = 64, *, rng: np.random.Generator, init_range: float = 0.08):
@@ -125,8 +126,8 @@ class TinyConvEncoder:
         if image.data.shape != self.IMAGE_SHAPE:
             raise ShapeError(
                 f"encoder expects an image of shape {self.IMAGE_SHAPE}, got {image.data.shape}")
-        y = max_pool2(relu(channel_bias(conv2d(image, self.conv1_kernels), self.conv1_bias)))
-        y = max_pool2(relu(channel_bias(conv2d(y, self.conv2_kernels), self.conv2_bias)))
+        y = max_pool2(relu(conv2d(image, self.conv1_kernels, self.conv1_bias)))
+        y = max_pool2(relu(conv2d(y, self.conv2_kernels, self.conv2_bias)))
         return self.fc(reshape(y, (-1,)))
 
     def named_params(self, prefix: str = "encoder") -> dict[str, Tensor]:

@@ -208,13 +208,9 @@ class ReviewerModel:
         """Feature vector for one example: file features or the encoder output."""
         arr = np.asarray(inputs, dtype=np.float64)
         if self.encoder is not None:
-            if arr.shape != TinyConvEncoder.IMAGE_SHAPE:
-                raise ConfigError(
-                    f"this model consumes raw {TinyConvEncoder.IMAGE_SHAPE} images, "
-                    f"got input of shape {arr.shape}")
             return self.encoder(Tensor(arr))
         if arr.ndim != 1:
-            raise ConfigError(
+            raise ShapeError(
                 f"this model consumes precomputed feature vectors, got input of shape {arr.shape}")
         if arr.shape != (self.config.feature_dim,):
             raise ShapeError(

@@ -39,11 +39,11 @@ def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def naive_conv2d(x: np.ndarray, kernels: np.ndarray, stride: int = 1) -> np.ndarray:
+def naive_conv2d(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     c, h, w = x.shape
     f, _, kh, kw = kernels.shape
-    hp = (h - kh) // stride + 1
-    wp = (w - kw) // stride + 1
+    hp = h - kh + 1
+    wp = w - kw + 1
     out = np.zeros((f, hp, wp))
     for fi in range(f):
         for i in range(hp):
@@ -52,7 +52,7 @@ def naive_conv2d(x: np.ndarray, kernels: np.ndarray, stride: int = 1) -> np.ndar
                 for ci in range(c):
                     for u in range(kh):
                         for v in range(kw):
-                            acc += x[ci, i * stride + u, j * stride + v] * kernels[fi, ci, u, v]
+                            acc += x[ci, i + u, j + v] * kernels[fi, ci, u, v]
                 out[fi, i, j] = acc
     return out
 

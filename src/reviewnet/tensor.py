@@ -21,7 +21,6 @@ __all__ = [
     "Tensor",
     "add",
     "backward",
-    "channel_bias",
     "concat",
     "conv2d",
     "cross_entropy",
@@ -508,9 +507,21 @@ def sum_all(x: Tensor) -> Tensor:
     return _track(np.asarray(x.data.sum()), (x,), grad_fn)
 
 
-def conv2d(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
-    """Valid (no padding) cross-correlation of [c,h,w] input with [f,c,kh,kw] kernels."""
-    xd, kd = x.data, kernels.data
+def _correlate(x: np.ndarray, kernels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Valid cross-correlation of [c,h,w] ``x`` with [f,c,kh,kw] ``kernels``,
+    and the [c,h',w',kh,kw] windows of ``x`` it read."""
+    windows = sliding_window_view(x, kernels.shape[2:], axis=(1, 2))
+    return np.einsum("fckl,chwkl->fhw", kernels, windows, optimize=True), windows
+
+
+def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
+    """Valid (no padding, stride 1) cross-correlation of a [c,h,w] input with
+    [f,c,kh,kw] kernels, plus a per-channel bias [f].
+
+    The input gradient is the full correlation of the output gradient with
+    the kernels flipped in space and transposed over channels.
+    """
+    xd, kd, bd = x.data, kernels.data, bias.data
     if xd.ndim != 3 or kd.ndim != 4:
         raise ShapeError(f"conv2d needs [c,h,w] and [f,c,kh,kw], got {xd.shape} and {kd.shape}")
     c, h, w = xd.shape
@@ -519,44 +530,20 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
         raise ShapeError(f"conv2d: input has {c} channels but kernels expect {kc}")
     if kh > h or kw > w:
         raise ShapeError(f"conv2d: kernel {kh}x{kw} larger than input {h}x{w}")
-    stride = int(stride)
-    if stride < 1:
-        raise ConfigError(f"conv2d stride must be positive, got {stride}")
-    if (h - kh) % stride or (w - kw) % stride:
-        raise ConfigError(
-            f"conv2d: output size not integral for input {h}x{w}, kernel {kh}x{kw}, stride {stride}")
-    hp = (h - kh) // stride + 1
-    wp = (w - kw) // stride + 1
-    windows = sliding_window_view(xd, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    out = np.einsum("fckl,chwkl->fhw", kd, windows, optimize=True)
+    if bd.shape != (f,):
+        raise ShapeError(f"conv2d: bias {bd.shape} does not fit {f} kernels")
+    out, windows = _correlate(xd, kd)
 
     def grad_fn(g: np.ndarray) -> None:
         if kernels.requires_grad:
             kernels.grad += np.einsum("fhw,chwkl->fckl", g, windows, optimize=True)
+        if bias.requires_grad:
+            bias.grad += g.sum(axis=(1, 2))
         if x.requires_grad:
-            gx = np.zeros_like(xd)
-            for i in range(hp):
-                si = i * stride
-                for j in range(wp):
-                    sj = j * stride
-                    gx[:, si:si + kh, sj:sj + kw] += np.tensordot(g[:, i, j], kd, axes=(0, 0))
-            x.grad += gx
+            padded = np.pad(g, ((0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
+            x.grad += _correlate(padded, kd.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])[0]
 
-    return _track(out, (x, kernels), grad_fn)
-
-
-def channel_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Add a per-channel bias to a [c,h,w] feature map."""
-    if x.data.ndim != 3 or b.data.ndim != 1 or b.data.size != x.data.shape[0]:
-        raise ShapeError(f"channel_bias: got map {x.data.shape} and bias {b.data.shape}")
-
-    def grad_fn(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x.grad += g
-        if b.requires_grad:
-            b.grad += g.sum(axis=(1, 2))
-
-    return _track(x.data + b.data[:, None, None], (x, b), grad_fn)
+    return _track(out + bd[:, None, None], (x, kernels, bias), grad_fn)
 
 
 def max_pool2(x: Tensor) -> Tensor:

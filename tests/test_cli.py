@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reviewnet import tensor
 from reviewnet.cli import main
 from reviewnet.dataset import FEATURES_MAGIC, RESERVED_TOKENS
 
@@ -141,11 +142,30 @@ def test_caption_train_without_vocab_exits_3(tmp_path, capsys):
 
 
 def test_modality_mismatch_exits_3(tmp_path, capsys):
-    data = tmp_path / "imgdata"
-    assert run("synth-data", "--seed", 3, "--n-images", 8, "--out", data,
+    images, features = tmp_path / "imgdata", tmp_path / "featdata"
+    assert run("synth-data", "--seed", 3, "--n-images", 8, "--out", images,
                "--modality", "images") == 0
-    assert run("train", "--data", data, "--variant", "model1", "--epochs", 1,
+    assert run("synth-data", "--seed", 3, "--n-images", 8, "--out", features) == 0
+    assert run("train", "--data", images, "--variant", "model1", "--epochs", 1,
                "--seed", 0, "--out", tmp_path / "m.ckpt", *TRAIN_FLAGS) == 3
+    # one vocabulary for both datasets, so only the inputs mismatch
+    assert run("build-vocab", "--data", images) == 0
+    (features / "vocab.txt").write_bytes((images / "vocab.txt").read_bytes())
+    image_ckpt, feature_ckpt = tmp_path / "mt.ckpt", tmp_path / "m1.ckpt"
+    assert run("train", "--data", images, "--variant", "mt-baseline", "--epochs", 0,
+               "--seed", 0, "--out", image_ckpt, *TRAIN_FLAGS) == 0
+    assert run("train", "--data", features, "--variant", "model1", "--epochs", 0,
+               "--seed", 0, "--out", feature_ckpt, *TRAIN_FLAGS) == 0
+    capsys.readouterr()
+    for ckpt, data in ((image_ckpt, features), (feature_ckpt, images)):
+        assert run("evaluate", "--data", data, "--ckpt", ckpt,
+                   "--report", tmp_path / "r.json") == 3
+        assert "shape" in capsys.readouterr().err
+    assert run("generate", "--ckpt", image_ckpt, "--features", features / "features.bin",
+               "--vocab", images / "vocab.txt") == 3
+    assert "shape" in capsys.readouterr().err
+    assert run("generate", "--ckpt", feature_ckpt, "--features", images / "images.bin",
+               "--vocab", images / "vocab.txt") == 3
 
 
 def test_tune_grid_on_single_task_exits_2(tmp_path, capsys):
@@ -159,6 +179,10 @@ def test_grad_check_passes(capsys):
     assert run("grad-check", "--seed", 7) == 0
     out = capsys.readouterr().out
     assert "max relative error" in out
+    # every differentiable tape primitive is differenced
+    checked = {line.split()[1] for line in out.splitlines() if line.startswith("primitive ")}
+    assert checked == set(tensor.__all__) - {"Tensor", "backward", "lstm_cell",
+                                             "stable_sigmoid", "topo_order"}
 
 
 def test_tune_grid_via_cli(tmp_path, capsys):

@@ -218,6 +218,33 @@ def test_images_dataset_roundtrip(tmp_path):
         assert np.array_equal(a.image, b.image)
 
 
+@pytest.mark.parametrize("failing_write", ["manifest", "payload", "vocab"])
+def test_dataset_write_failing_midway_keeps_previous_files(tmp_path, monkeypatch, failing_write):
+    import os
+
+    save_dataset(synth_dataset(21, 12, feature_dim=9), tmp_path)
+    Vocabulary(list(RESERVED_TOKENS) + ["sky"]).save(tmp_path / "vocab.txt")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    synced = []
+
+    def fsync(fd):  # the manifest is synced first, then the payload
+        synced.append(fd)
+        if len(synced) == (2 if failing_write == "payload" else 1):
+            raise OSError("disk full")
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    with pytest.raises(OSError, match="disk full"):
+        if failing_write == "vocab":
+            Vocabulary(list(RESERVED_TOKENS) + ["sea"]).save(tmp_path / "vocab.txt")
+        else:
+            save_dataset(synth_dataset(22, 6, modality="images"), tmp_path)
+    after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(after) == sorted(before)
+    # a replaced manifest is the one file a failed payload write leaves changed
+    replaced = {"manifest.jsonl"} if failing_write == "payload" else set()
+    assert {name for name in before if after[name] != before[name]} == replaced
+
+
 def test_features_bin_magic_and_layout(tmp_path):
     ds = synth_dataset(1, 4, feature_dim=5)
     save_dataset(ds, tmp_path)

@@ -279,11 +279,11 @@ def test_stacked_lstm_depth_knob(rng, tmp_path):
 
 def test_modality_guards(rng):
     frozen = tiny_model("model1")
-    with pytest.raises(Exception):
+    with pytest.raises(ShapeError):
         frozen.image_representation(rng.random((3, 32, 32)))
     mtb = ReviewerModel(Variant.MT_BASELINE, ModelConfig(vocab_size=10, feature_dim=8,
                                                          embed_dim=8, hidden_dim=8), seed=0)
-    with pytest.raises(Exception):
+    with pytest.raises(ShapeError, match=r"\(3, 32, 32\)"):
         mtb.image_representation(rng.normal(size=8))
 
 

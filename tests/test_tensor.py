@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from reviewnet import oracles
 from reviewnet.errors import ConfigError, ContractError, NumericError, ShapeError
-from reviewnet.tensor import (Tensor, add, backward, channel_bias, concat, conv2d,
+from reviewnet.tensor import (Tensor, add, backward, concat, conv2d,
                               cross_entropy, dropout, embedding_lookup, linear,
                               matmul, max_pool2, mul, relu, reshape, scale, softmax,
                               stable_sigmoid, sum_all, topo_order)
@@ -56,33 +56,55 @@ def test_conv2d_identity_kernel():
     kernels = np.zeros((2, 2, 1, 1))
     kernels[0, 0, 0, 0] = 1.0
     kernels[1, 1, 0, 0] = 1.0
-    out = conv2d(Tensor(x), Tensor(kernels), 1).data
+    out = conv2d(Tensor(x), Tensor(kernels), Tensor(np.zeros(2))).data
     assert np.array_equal(out, x)
 
 
 def test_conv2d_summation_kernel():
-    out = conv2d(Tensor(np.ones((1, 3, 3))), Tensor(np.ones((1, 1, 2, 2))), 1).data
+    out = conv2d(Tensor(np.ones((1, 3, 3))), Tensor(np.ones((1, 1, 2, 2))),
+                 Tensor([0.5])).data
     assert out.shape == (1, 2, 2)
-    assert np.all(out == 4.0)
+    assert np.all(out == 4.5)
+
+
+CONV_SHAPES = [((8, 15, 15), (16, 8, 3, 3)), ((3, 7, 6), (4, 3, 3, 2)), ((2, 5, 9), (3, 2, 1, 4))]
 
 
 def test_conv2d_matches_nested_loop_oracle(rng):
-    x = rng.normal(size=(3, 7, 6))
-    k = rng.normal(size=(4, 3, 3, 2))
-    for stride in (1, 2):
-        got = conv2d(Tensor(x), Tensor(k), stride).data
-        want = oracles.naive_conv2d(x, k, stride)
+    for x_shape, k_shape in CONV_SHAPES:
+        x, k, b = rng.normal(size=x_shape), rng.normal(size=k_shape), rng.normal(size=k_shape[0])
+        got = conv2d(Tensor(x), Tensor(k), Tensor(b)).data
+        want = oracles.naive_conv2d(x, k) + b[:, None, None]
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
-def test_conv2d_non_integral_output_rejected():
-    with pytest.raises(ConfigError, match="not integral"):
-        conv2d(Tensor(np.zeros((1, 5, 5))), Tensor(np.zeros((1, 1, 2, 2))), 2)
+def test_conv2d_input_grad_matches_per_position_reference(rng):
+    for x_shape, k_shape in CONV_SHAPES:
+        xd, kd = rng.normal(size=x_shape), rng.normal(size=k_shape)
+        x, k, b = (Tensor(a, requires_grad=True) for a in (xd, kd, rng.normal(size=k_shape[0])))
+        _, _, kh, kw = kd.shape
+        hp, wp = xd.shape[1] - kh + 1, xd.shape[2] - kw + 1
+        g = rng.normal(size=(kd.shape[0], hp, wp))
+        backward(sum_all(mul(conv2d(x, k, b), Tensor(g))))
+        # every output position scatters its kernel-weighted gradient back over its window
+        want_x = np.zeros_like(xd)
+        for i in range(hp):
+            for j in range(wp):
+                want_x[:, i:i + kh, j:j + kw] += np.tensordot(g[:, i, j], kd, axes=(0, 0))
+        want_k = np.zeros_like(kd)
+        for u in range(kh):
+            for v in range(kw):
+                want_k[:, :, u, v] = np.tensordot(g, xd[:, u:u + hp, v:v + wp],
+                                                  axes=([1, 2], [1, 2]))
+        for got, want in ((x.grad, want_x), (k.grad, want_k), (b.grad, g.sum(axis=(1, 2)))):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_conv2d_channel_mismatch():
     with pytest.raises(ShapeError):
-        conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((1, 3, 2, 2))), 1)
+        conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((1, 3, 2, 2))), Tensor(np.zeros(1)))
+    with pytest.raises(ShapeError, match="bias"):
+        conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((3, 2, 2, 2))), Tensor(np.zeros(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +278,7 @@ def test_conv_pool_flatten_grad_matches_finite_differences(seed):
     r = rng.normal(size=12)
 
     def build():
-        fmap = channel_bias(conv2d(x, k, 1), b)
+        fmap = conv2d(x, k, b)
         return sum_all(mul(reshape(max_pool2(fmap), (-1,)), Tensor(r)))
 
     for p in (x, k, b):
