@@ -12,22 +12,26 @@ from .tensor import (Tensor, conv2d, embedding_lookup, linear, lstm_sequence, ma
                      reshape)
 
 
-def uniform_param(rng: np.random.Generator, shape, init_range: float) -> Tensor:
-    """Fresh trainable tensor drawn from U(-init_range, +init_range)."""
-    return Tensor(rng.uniform(-init_range, init_range, size=shape), requires_grad=True)
+INIT_RANGE = 0.08
+FORGET_GATE_BIAS = 1.0
+
+
+def uniform_param(rng: np.random.Generator, shape) -> Tensor:
+    """Fresh trainable tensor drawn from U(-INIT_RANGE, +INIT_RANGE)."""
+    return Tensor(rng.uniform(-INIT_RANGE, INIT_RANGE, size=shape), requires_grad=True)
 
 
 class Dense:
     """y = activation(W x + b), activation being 'relu' or None."""
 
     def __init__(self, out_dim: int, in_dim: int, *, rng: np.random.Generator,
-                 init_range: float = 0.08, bias: bool = True, activation: str | None = None):
+                 bias: bool = True, activation: str | None = None):
         if activation not in (None, "relu"):
             raise ConfigError(f"unsupported dense activation {activation!r}")
         self.out_dim = out_dim
         self.in_dim = in_dim
-        self.weight = uniform_param(rng, (out_dim, in_dim), init_range)
-        self.bias = uniform_param(rng, (out_dim,), init_range) if bias else None
+        self.weight = uniform_param(rng, (out_dim, in_dim))
+        self.bias = uniform_param(rng, (out_dim,)) if bias else None
         self.activation = activation
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -47,11 +51,10 @@ class Dense:
 class EmbeddingTable:
     """Token id to dense vector lookup over a [vocab, dim] table."""
 
-    def __init__(self, vocab_size: int, embed_dim: int, *, rng: np.random.Generator,
-                 init_range: float = 0.08):
+    def __init__(self, vocab_size: int, embed_dim: int, *, rng: np.random.Generator):
         self.vocab_size = vocab_size
         self.embed_dim = embed_dim
-        self.table = uniform_param(rng, (vocab_size, embed_dim), init_range)
+        self.table = uniform_param(rng, (vocab_size, embed_dim))
 
     def __call__(self, token_id) -> Tensor:
         return embedding_lookup(self.table, token_id)
@@ -72,15 +75,14 @@ class LSTMState(NamedTuple):
 class LSTMCell:
     """One LSTM cell; gate rows are ordered input, forget, candidate, output."""
 
-    def __init__(self, input_dim: int, hidden_dim: int, *, rng: np.random.Generator,
-                 init_range: float = 0.08, forget_gate_bias: float = 1.0):
+    def __init__(self, input_dim: int, hidden_dim: int, *, rng: np.random.Generator):
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
-        self.w_input = uniform_param(rng, (4 * hidden_dim, input_dim), init_range)
-        self.w_hidden = uniform_param(rng, (4 * hidden_dim, hidden_dim), init_range)
-        self.bias = uniform_param(rng, (4 * hidden_dim,), init_range)
+        self.w_input = uniform_param(rng, (4 * hidden_dim, input_dim))
+        self.w_hidden = uniform_param(rng, (4 * hidden_dim, hidden_dim))
+        self.bias = uniform_param(rng, (4 * hidden_dim,))
         # biasing the forget gate open eases gradient flow through long unrolls
-        self.bias.data[hidden_dim:2 * hidden_dim] = forget_gate_bias
+        self.bias.data[hidden_dim:2 * hidden_dim] = FORGET_GATE_BIAS
 
     def step(self, state: LSTMState, x: Tensor) -> LSTMState:
         """One step from one state: the one-row, one-step case of ``sequence``."""
@@ -114,13 +116,13 @@ class TinyConvEncoder:
     IMAGE_SHAPE = dataset.IMAGE_SHAPE
     _FLAT = 16 * 6 * 6
 
-    def __init__(self, out_dim: int = 64, *, rng: np.random.Generator, init_range: float = 0.08):
+    def __init__(self, out_dim: int = 64, *, rng: np.random.Generator):
         self.out_dim = out_dim
-        self.conv1_kernels = uniform_param(rng, (8, 3, 3, 3), init_range)
-        self.conv1_bias = uniform_param(rng, (8,), init_range)
-        self.conv2_kernels = uniform_param(rng, (16, 8, 3, 3), init_range)
-        self.conv2_bias = uniform_param(rng, (16,), init_range)
-        self.fc = Dense(out_dim, self._FLAT, rng=rng, init_range=init_range)
+        self.conv1_kernels = uniform_param(rng, (8, 3, 3, 3))
+        self.conv1_bias = uniform_param(rng, (8,))
+        self.conv2_kernels = uniform_param(rng, (16, 8, 3, 3))
+        self.conv2_bias = uniform_param(rng, (16,))
+        self.fc = Dense(out_dim, self._FLAT, rng=rng)
 
     def __call__(self, image: Tensor) -> Tensor:
         if image.data.shape != self.IMAGE_SHAPE:

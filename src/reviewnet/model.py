@@ -4,8 +4,8 @@ A model is a named collection of trainable tensors plus the forward rules
 turning an image representation into class logits, per-step token logits and
 task losses. The image representation enters the caption decoder exactly
 once, as the input at the step before the START token, and that step
-contributes no loss term. Losses are computed for a batch at once; the
-one-example entry points are its one-row case.
+contributes no loss term. ``ReviewerModel.forward`` computes them for a batch
+at once; one example is a batch of one.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ _TAG_VARIANTS = {v: k for k, v in _VARIANT_TAGS.items()}
 
 @dataclass
 class ModelConfig:
-    """Widths and initialization knobs.
+    """Layer widths.
 
     ``feature_dim`` is the width of the file-provided feature vectors, or the
     tiny encoder's output width for the trainable-encoder baseline.
@@ -74,8 +74,6 @@ class ModelConfig:
     shared_dim: int | None = None
     specific_dim: int | None = None
     lstm_layers: int = 1
-    init_range: float = 0.08
-    forget_gate_bias: float = 1.0
 
 
 def _resolve_config(variant: Variant, config: ModelConfig) -> ModelConfig:
@@ -94,27 +92,11 @@ def _resolve_config(variant: Variant, config: ModelConfig) -> ModelConfig:
             raise ConfigError(f"{name} must be positive, got {getattr(resolved, name)}")
     if variant.has_generator and resolved.vocab_size < 4:
         raise ConfigError("vocabulary must include the four reserved specials")
-    if resolved.init_range <= 0:
-        raise ConfigError(f"init_range must be positive, got {resolved.init_range}")
     return resolved
 
 
 @dataclass
 class ForwardOutput:
-    """Per-example forward results; absent parts are None for single-task variants.
-
-    The logits are values for inspection; gradients flow through the losses.
-    """
-
-    class_logits: Tensor | None
-    step_logits: list[Tensor]
-    aesthetics: Tensor | None
-    language: Tensor | None
-    joint: Tensor | None
-
-
-@dataclass
-class BatchOutput:
     """Forward results of a batch; absent parts are None.
 
     ``aesthetics`` and ``language`` are summed over the batch. ``loss`` is the
@@ -139,39 +121,40 @@ class ReviewerModel:
         self.config = _resolve_config(self.variant, config)
         cfg = self.config
         rng = np.random.default_rng(seed)
-        kw = {"rng": rng, "init_range": cfg.init_range}
+
+        def relu_dense(out_dim: int) -> Dense:
+            return Dense(out_dim, cfg.feature_dim, rng=rng, bias=False, activation="relu")
 
         self.encoder = None
         if self.variant is Variant.MT_BASELINE:
-            self.encoder = TinyConvEncoder(cfg.feature_dim, **kw)
+            self.encoder = TinyConvEncoder(cfg.feature_dim, rng=rng)
 
         self.shared = self.cls_specific = self.gen_specific = None
         if self.variant is Variant.MODEL_I:
-            self.shared = Dense(cfg.shared_dim, cfg.feature_dim, bias=False, activation="relu", **kw)
+            self.shared = relu_dense(cfg.shared_dim)
         elif self.variant is Variant.MODEL_II:
-            self.shared = Dense(cfg.shared_dim, cfg.feature_dim, bias=False, activation="relu", **kw)
-            self.cls_specific = Dense(cfg.specific_dim, cfg.feature_dim, bias=False, activation="relu", **kw)
-            self.gen_specific = Dense(cfg.specific_dim, cfg.feature_dim, bias=False, activation="relu", **kw)
+            self.shared = relu_dense(cfg.shared_dim)
+            self.cls_specific = relu_dense(cfg.specific_dim)
+            self.gen_specific = relu_dense(cfg.specific_dim)
 
         rep_cls_dim, rep_gen_dim = self._rep_dims()
         self.classifier = None
         if self.variant.has_classifier:
-            self.classifier = Dense(2, rep_cls_dim, **kw)
+            self.classifier = Dense(2, rep_cls_dim, rng=rng)
 
         self.embedding = None
         self.cells: list[LSTMCell] = []
         self.out_proj = None
         self.gen_adapter = None
         if self.variant.has_generator:
-            self.embedding = EmbeddingTable(cfg.vocab_size, cfg.embed_dim, **kw)
+            self.embedding = EmbeddingTable(cfg.vocab_size, cfg.embed_dim, rng=rng)
             self.cells = [
-                LSTMCell(cfg.embed_dim if k == 0 else cfg.hidden_dim, cfg.hidden_dim,
-                         forget_gate_bias=cfg.forget_gate_bias, **kw)
+                LSTMCell(cfg.embed_dim if k == 0 else cfg.hidden_dim, cfg.hidden_dim, rng=rng)
                 for k in range(cfg.lstm_layers)
             ]
-            self.out_proj = Dense(cfg.vocab_size, cfg.hidden_dim, **kw)
+            self.out_proj = Dense(cfg.vocab_size, cfg.hidden_dim, rng=rng)
             if rep_gen_dim != cfg.embed_dim:
-                self.gen_adapter = Dense(cfg.embed_dim, rep_gen_dim, **kw)
+                self.gen_adapter = Dense(cfg.embed_dim, rep_gen_dim, rng=rng)
 
         self.params: dict[str, Tensor] = {}
         if self.encoder is not None:
@@ -238,9 +221,6 @@ class ReviewerModel:
             raise ContractError(f"variant {self.variant.value} has no classifier head")
         return self.classifier(rep_cls)
 
-    def aesthetics_loss(self, rep_cls: Tensor, label: int) -> Tensor:
-        return cross_entropy(self.class_logits(rep_cls), int(label))
-
     def _dropout_masks(self, steps: np.ndarray, keep: float,
                        rng: np.random.Generator) -> list[np.ndarray]:
         """Keep-masks [B, T, width] of the decoder's non-recurrent connections:
@@ -271,8 +251,6 @@ class ReviewerModel:
         Returns the summed cross-entropy of predicting every caption token and
         each terminating END, and the token logits [B, T, V].
         """
-        if self.embedding is None:
-            raise ContractError(f"variant {self.variant.value} has no language head")
         captions = [[int(t) for t in caption] for caption in captions]
         if not all(captions):
             raise ContractError("caption must be non-empty")
@@ -304,15 +282,16 @@ class ReviewerModel:
         logits = self.out_proj(h)
         return cross_entropy(logits, targets, scored), logits
 
-    def batch_forward(self, inputs: Sequence[np.ndarray], labels: Sequence[int] | None = None,
-                      captions: Sequence[Sequence[int]] | None = None, *, alpha: float = 1.0,
-                      beta: float = 1.0, dropout_keep: float = 1.0,
-                      rng: np.random.Generator | None = None) -> BatchOutput:
+    def forward(self, inputs: Sequence[np.ndarray], labels: Sequence[int] | None = None,
+                captions: Sequence[Sequence[int]] | None = None, *, alpha: float = 1.0,
+                beta: float = 1.0, dropout_keep: float = 1.0,
+                rng: np.random.Generator | None = None) -> ForwardOutput:
         """Forward pass over a batch of examples at once.
 
         The representation and classifier layers run row-wise, and each
         stacked cell runs the padded captions as one ``lstm_sequence``.
-        Dropout below ``dropout_keep`` = 1 draws its masks from ``rng``.
+        Labels and captions are ignored by a variant without the matching
+        head. Dropout below ``dropout_keep`` = 1 draws its masks from ``rng``.
         """
         if not len(inputs):
             raise ContractError("a batch needs at least one example")
@@ -333,44 +312,7 @@ class ReviewerModel:
                 loss = add(scale(aesthetics, alpha / n), scale(language, beta / n))
         elif aesthetics is not None or language is not None:
             loss = scale(aesthetics if aesthetics is not None else language, 1.0 / n)
-        return BatchOutput(class_logits, token_logits, aesthetics, language, loss)
-
-    def language_forward(self, rep_gen: Tensor, caption: list[int], *,
-                         dropout_keep: float = 1.0,
-                         rng: np.random.Generator | None = None) -> tuple[Tensor, list[Tensor]]:
-        """Teacher-forced decode of one example: image step, START, then the caption tokens.
-
-        Returns the summed cross-entropy of predicting each caption token and
-        the terminating END, plus the per-step logit vectors (length L+1).
-        """
-        loss, logits = self._language(reshape(rep_gen, (1, -1)), [caption], dropout_keep, rng)
-        return loss, [Tensor(row) for row in logits.data[0, 1:]]
-
-    def language_loss(self, rep_gen: Tensor, caption: list[int], **kwargs) -> Tensor:
-        return self.language_forward(rep_gen, caption, **kwargs)[0]
-
-    def forward(self, inputs: np.ndarray, label: int | None = None,
-                caption: list[int] | None = None, *, alpha: float = 1.0, beta: float = 1.0,
-                dropout_keep: float = 1.0,
-                rng: np.random.Generator | None = None) -> ForwardOutput:
-        """One example: the one-row case of ``batch_forward``."""
-        out = self.batch_forward([inputs], None if label is None else [label],
-                                 None if caption is None else [caption], alpha=alpha, beta=beta,
-                                 dropout_keep=dropout_keep, rng=rng)
-        class_logits = None if out.class_logits is None else Tensor(out.class_logits.data[0])
-        step_logits = ([] if out.token_logits is None
-                       else [Tensor(row) for row in out.token_logits.data[0, 1:]])
-        joint = out.loss if self.variant.multi_task else None
-        return ForwardOutput(class_logits, step_logits, out.aesthetics, out.language, joint)
-
-    def joint_loss(self, inputs: np.ndarray, label: int, caption: list[int],
-                   alpha: float = 1.0, beta: float = 1.0, *, dropout_keep: float = 1.0,
-                   rng: np.random.Generator | None = None) -> Tensor:
-        if not self.variant.multi_task:
-            raise ContractError(f"joint loss is defined for multi-task variants, not {self.variant.value}")
-        out = self.forward(inputs, label, caption, alpha=alpha, beta=beta,
-                           dropout_keep=dropout_keep, rng=rng)
-        return out.joint
+        return ForwardOutput(class_logits, token_logits, aesthetics, language, loss)
 
     # -- parameters ----------------------------------------------------------
 
@@ -508,6 +450,8 @@ def load_checkpoint(path: str | Path) -> ReviewerModel:
         if model.params[name].data.shape != arr.shape:
             raise DataError(f"{path}: parameter {name} has shape {arr.shape}, "
                             f"expected {model.params[name].data.shape}")
+        if not np.isfinite(arr).all():
+            raise DataError(f"{path}: parameter {name} contains non-finite values")
         model.params[name].data[...] = arr
     return model
 

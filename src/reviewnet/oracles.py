@@ -72,38 +72,6 @@ def cross_entropy_direct(logits: np.ndarray, target: int) -> float:
     return log_sum_exp(logits) - float(logits[target])
 
 
-def finite_diff_grad(f: Callable[[], float], arr: np.ndarray, step: float = 1e-5) -> np.ndarray:
-    """Central differences of a scalar function, perturbing ``arr`` in place."""
-    grad = np.zeros_like(arr)
-    it = np.nditer(arr, flags=["multi_index"])
-    for _ in it:
-        ix = it.multi_index
-        old = arr[ix]
-        arr[ix] = old + step
-        fp = f()
-        arr[ix] = old - step
-        fm = f()
-        arr[ix] = old
-        if not (math.isfinite(fp) and math.isfinite(fm)):
-            raise NumericError(f"non-finite value while differencing at index {ix}")
-        grad[ix] = (fp - fm) / (2.0 * step)
-    return grad
-
-
-def finite_diff_at(f: Callable[[], float], arr: np.ndarray, index: tuple,
-                   step: float = 1e-5) -> float:
-    """Central difference of a single coordinate, perturbing ``arr`` in place."""
-    old = arr[index]
-    arr[index] = old + step
-    fp = f()
-    arr[index] = old - step
-    fm = f()
-    arr[index] = old
-    if not (math.isfinite(fp) and math.isfinite(fm)):
-        raise NumericError(f"non-finite value while differencing at index {index}")
-    return (fp - fm) / (2.0 * step)
-
-
 def finite_diff_slopes_at(f: Callable[[], float], arr: np.ndarray, index: tuple,
                           f0: float, step: float = 1e-5) -> tuple[float, float, float]:
     """(central, backward, forward) difference quotients for one coordinate.

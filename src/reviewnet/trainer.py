@@ -96,11 +96,9 @@ def batch_loss(model: ReviewerModel, batch: list[Instance], config: TrainConfig,
     """The training objective of a batch, its mean per-instance loss; dropout
     is on only when an ``rng`` is given."""
     keep = config.dropout_keep if rng is not None else 1.0
-    return model.batch_forward(
-        [inst.inputs for inst in batch],
-        [inst.label for inst in batch] if model.variant.has_classifier else None,
-        [inst.caption for inst in batch] if model.variant.has_generator else None,
-        alpha=config.alpha, beta=config.beta, dropout_keep=keep, rng=rng).loss
+    return model.forward([inst.inputs for inst in batch], [inst.label for inst in batch],
+                         [inst.caption for inst in batch], alpha=config.alpha, beta=config.beta,
+                         dropout_keep=keep, rng=rng).loss
 
 
 def instance_loss(model: ReviewerModel, inst: Instance, config: TrainConfig,

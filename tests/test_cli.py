@@ -7,6 +7,7 @@ import pytest
 from reviewnet import tensor
 from reviewnet.cli import main
 from reviewnet.dataset import FEATURES_MAGIC, RESERVED_TOKENS
+from reviewnet.model import load_checkpoint, save_checkpoint
 
 
 TRAIN_FLAGS = ["--embed-dim", "16", "--hidden-dim", "16", "--shared-dim", "8",
@@ -105,6 +106,19 @@ def test_generate_rejects_non_finite_features_exits_3(tmp_path, capsys):
                          + np.full((2, 16), np.nan).tobytes())
     assert run("generate", "--ckpt", ckpt, "--features", features,
                "--vocab", data / "vocab.txt") == 3
+
+
+def test_non_finite_checkpoint_exits_3(tmp_path, capsys):
+    data, ckpt, _ = build_pipeline(tmp_path, epochs=1, variant="model1")
+    model = load_checkpoint(ckpt)
+    model.params["out_proj.bias"].data[0] = np.nan
+    save_checkpoint(model, ckpt)
+    capsys.readouterr()
+    assert run("evaluate", "--data", data, "--ckpt", ckpt, "--report", tmp_path / "r.json") == 3
+    assert run("generate", "--ckpt", ckpt, "--features", data / "features.bin",
+               "--vocab", data / "vocab.txt") == 3
+    assert capsys.readouterr().err.count("out_proj.bias") == 2
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_iac_trains_without_vocab(tmp_path):

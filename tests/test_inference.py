@@ -158,8 +158,7 @@ def test_rescoring_agrees_with_graph_language_loss():
         caption = strip_end(list(top.tokens))
         if not caption:
             continue
-        rep_gen = model.representation(model.image_representation(features))[1]
-        loss = model.language_loss(rep_gen, caption).item()
+        loss = model.forward([features], captions=[caption]).language.item()
         assert abs(-loss - top.log_prob) <= 1e-10
 
 

@@ -7,8 +7,8 @@ from reviewnet.layers import Dense, EmbeddingTable, LSTMCell, LSTMState, TinyCon
 from reviewnet.tensor import Tensor, backward, sum_all
 
 
-def make_cell(rng, input_dim=3, hidden_dim=4, **kw):
-    return LSTMCell(input_dim, hidden_dim, rng=rng, **kw)
+def make_cell(rng, input_dim=3, hidden_dim=4):
+    return LSTMCell(input_dim, hidden_dim, rng=rng)
 
 
 def test_lstm_all_zero_parameters_give_zero_state(rng):
@@ -57,7 +57,7 @@ def test_lstm_width_mismatch(rng):
 
 
 def test_lstm_forget_gate_bias_preset(rng):
-    cell = make_cell(rng, forget_gate_bias=1.0)
+    cell = make_cell(rng)
     hd = cell.hidden_dim
     assert np.all(cell.bias.data[hd:2 * hd] == 1.0)
 
@@ -77,7 +77,7 @@ def test_lstm_gradients_match_finite_differences(rng):
         p.zero_grad()
     backward(build())
     for p in params:
-        numeric = oracles.finite_diff_grad(lambda: float(build().data), p.data)
+        numeric = oracles.finite_diff_slopes(lambda: float(build().data), p.data)[0]
         assert oracles.max_rel_error(p.grad, numeric) <= 1e-4
 
 
@@ -129,9 +129,10 @@ def test_encoder_conv_weight_gradient_matches_finite_differences(rng):
     enc.conv1_kernels.zero_grad()
     backward(build())
     analytic = enc.conv1_kernels.grad
+    value = float(build().data)
     # spot-check a handful of kernel coordinates; full differencing is slow
     for flat in rng.choice(enc.conv1_kernels.data.size, size=6, replace=False):
         idx = np.unravel_index(int(flat), enc.conv1_kernels.data.shape)
-        numeric = oracles.finite_diff_at(lambda: float(build().data),
-                                         enc.conv1_kernels.data, idx)
+        numeric = oracles.finite_diff_slopes_at(lambda: float(build().data),
+                                                enc.conv1_kernels.data, idx, value)[0]
         assert oracles.max_rel_error(analytic[idx], numeric) <= 1e-4

@@ -90,41 +90,38 @@ def test_aesthetics_loss_uniform_classifier(rng):
     model = tiny_model("iac")
     model.classifier.weight.data[...] = 0.0
     model.classifier.bias.data[...] = 0.0
-    rep = model.representation(model.image_representation(rng.normal(size=8)))[0]
-    assert model.aesthetics_loss(rep, 1).item() == pytest.approx(np.log(2.0), abs=1e-12)
+    out = model.forward([rng.normal(size=8)], [1])
+    assert out.aesthetics.item() == pytest.approx(np.log(2.0), abs=1e-12)
 
 
 def test_aesthetics_loss_saturates_towards_zero(rng):
     model = tiny_model("iac")
     model.classifier.weight.data[...] = 0.0
     model.classifier.bias.data[...] = [0.0, 50.0]
-    rep = model.representation(model.image_representation(rng.normal(size=8)))[0]
-    assert model.aesthetics_loss(rep, 1).item() < 1e-3
+    assert model.forward([rng.normal(size=8)], [1]).aesthetics.item() < 1e-3
 
 
 def test_language_loss_uniform_projection_is_length_times_log_vocab(rng):
     model = tiny_model("v2l", vocab_size=12)
     model.out_proj.weight.data[...] = 0.0
     model.out_proj.bias.data[...] = 0.0
-    rep = model.representation(model.image_representation(rng.normal(size=8)))[1]
     caption = [4, 5, 6, 7]
-    loss = model.language_loss(rep, caption).item()
+    loss = model.forward([rng.normal(size=8)], captions=[caption]).language.item()
     assert loss == pytest.approx((len(caption) + 1) * np.log(12.0), abs=1e-9)
 
 
 def test_language_loss_single_token_decomposition(rng):
     model = tiny_model("v2l", seed=3)
-    features = rng.normal(size=8)
-    rep = model.representation(model.image_representation(features))[1]
-    loss, step_logits = model.language_forward(rep, [5])
+    out = model.forward([rng.normal(size=8)], captions=[[5]])
+    step_logits = out.token_logits.data[0, 1:]
     assert len(step_logits) == 2  # predicts w_1 then END
 
     def ce(logits, target):
         z = logits - logits.max()
         return float(np.log(np.exp(z).sum()) - z[target])
 
-    want = ce(step_logits[0].data, 5) + ce(step_logits[1].data, END_ID)
-    assert loss.item() == pytest.approx(want, abs=1e-12)
+    want = ce(step_logits[0], 5) + ce(step_logits[1], END_ID)
+    assert out.language.item() == pytest.approx(want, abs=1e-12)
 
 
 def test_language_loss_is_negative_log_of_step_probability_product(rng):
@@ -132,8 +129,7 @@ def test_language_loss_is_negative_log_of_step_probability_product(rng):
     randomize_params(model, rng)
     features = rng.normal(size=8)
     caption = [4, 0, 4]
-    loss = model.language_loss(
-        model.representation(model.image_representation(features))[1], caption).item()
+    loss = model.forward([features], captions=[caption]).language.item()
 
     dec, x_img = oracle_decoder(model, features)
     state = dec.advance(dec.initial_state(), x_img)
@@ -147,40 +143,36 @@ def test_language_loss_is_negative_log_of_step_probability_product(rng):
 
 def test_language_loss_rejects_empty_caption(rng):
     model = tiny_model("v2l")
-    rep = model.representation(model.image_representation(rng.normal(size=8)))[1]
     with pytest.raises(ContractError):
-        model.language_loss(rep, [])
+        model.forward([rng.normal(size=8)], captions=[[]])
 
 
 def test_step_logit_count_is_caption_length_plus_one(rng):
     model = tiny_model("model1")
-    out = model.forward(rng.normal(size=8), label=0, caption=[4, 5, 6])
-    assert len(out.step_logits) == 4
+    out = model.forward([rng.normal(size=8)], [0], [[4, 5, 6]])
+    assert len(out.token_logits.data[0, 1:]) == 4
 
 
 def test_joint_loss_reduces_to_single_tasks(rng):
     model = tiny_model("model2", seed=2)
     features = rng.normal(size=8)
     caption = [4, 5]
-    out = model.forward(features, label=1, caption=caption)
+
+    def joint(alpha, beta):
+        return model.forward([features], [1], [caption], alpha=alpha, beta=beta).loss.item()
+
+    out = model.forward([features], [1], [caption])
     aes, lang = out.aesthetics.item(), out.language.item()
-    assert model.joint_loss(features, 1, caption, 1.0, 0.0).item() == pytest.approx(aes, abs=1e-12)
-    assert model.joint_loss(features, 1, caption, 0.0, 1.0).item() == pytest.approx(lang, abs=1e-12)
-    got = model.joint_loss(features, 1, caption, 2.0, 3.0).item()
-    assert got == pytest.approx(2 * aes + 3 * lang, abs=1e-10)
-
-
-def test_joint_loss_rejected_for_single_task_variants(rng):
-    for name in ("iac", "v2l"):
-        with pytest.raises(ContractError):
-            tiny_model(name).joint_loss(rng.normal(size=8), 0, [4], 1.0, 1.0)
+    assert joint(1.0, 0.0) == pytest.approx(aes, abs=1e-12)
+    assert joint(0.0, 1.0) == pytest.approx(lang, abs=1e-12)
+    assert joint(2.0, 3.0) == pytest.approx(2 * aes + 3 * lang, abs=1e-10)
 
 
 def test_batch_loss_equals_mean_of_singles(rng):
     model = tiny_model("model1", seed=4)
     instances = [(rng.normal(size=8), int(rng.integers(0, 2)), [4, 5 + i]) for i in range(4)]
-    singles = [model.joint_loss(f, y, c).item() for f, y, c in instances]
-    batch = model.batch_forward(*zip(*instances)).loss.item()
+    singles = [model.forward([f], [y], [c]).loss.item() for f, y, c in instances]
+    batch = model.forward(*zip(*instances)).loss.item()
     assert batch == pytest.approx(float(np.mean(singles)), abs=1e-12)
 
 
@@ -190,7 +182,7 @@ def test_scaling_alpha_beta_scales_loss_and_gradients(rng):
 
     def grads(alpha, beta):
         model.zero_grad()
-        loss = model.joint_loss(features, 1, caption, alpha, beta)
+        loss = model.forward([features], [1], [caption], alpha=alpha, beta=beta).loss
         backward(loss)
         return loss.item(), {n: p.grad.copy() for n, p in model.params.items()}
 
@@ -210,13 +202,9 @@ def test_losses_are_bit_identical_across_runs(rng):
         if variant == "mt-baseline":
             model = ReviewerModel(variant, ModelConfig(vocab_size=10, feature_dim=8,
                                                        embed_dim=8, hidden_dim=8), seed=11)
-            return model.joint_loss(image, 1, caption).data.tobytes()
+            return model.forward([image], [1], [caption]).loss.data.tobytes()
         model = tiny_model(variant, seed=11)
-        if Variant(variant).multi_task:
-            return model.joint_loss(features, 1, caption).data.tobytes()
-        out = model.forward(features, label=1 if variant == "iac" else None,
-                            caption=None if variant == "iac" else caption)
-        return (out.aesthetics if variant == "iac" else out.language).data.tobytes()
+        return model.forward([features], [1], [caption]).loss.data.tobytes()
 
     for variant in ("iac", "v2l", "mt-baseline", "model1", "model2"):
         assert run(variant) == run(variant)
@@ -262,8 +250,7 @@ def test_stacked_lstm_depth_knob(rng, tmp_path):
     model = tiny_model("v2l", seed=4, lstm_layers=2)
     assert "lstm0.w_hidden" in model.params and "lstm1.w_hidden" in model.params
     features = rng.normal(size=8)
-    rep_gen = model.representation(model.image_representation(features))[1]
-    loss = model.language_loss(rep_gen, [4, 5])
+    loss = model.forward([features], captions=[[4, 5]]).language
     assert np.isfinite(loss.item())
     # graph loss and the decode fast path agree through both layers
     from reviewnet.inference import score_caption
@@ -366,6 +353,11 @@ def test_checkpoint_rejects_corruption(tmp_path):
     truncated.write_bytes(path.read_bytes()[:-9])
     with pytest.raises(DataError):
         load_checkpoint(truncated)
+    model.classifier.bias.data[1] = np.nan
+    non_finite = tmp_path / "nan.ckpt"
+    save_checkpoint(model, non_finite)
+    with pytest.raises(DataError, match="classifier.bias"):
+        load_checkpoint(non_finite)
 
 
 def test_checkpoint_missing_file():
