@@ -18,13 +18,11 @@ from .model import ReviewerModel
 
 @dataclass(frozen=True)
 class Hypothesis:
-    """A (partial) caption: emitted token ids, their exact summed log
-    probability, the decoder state after the last token, and whether the
-    sequence ended with END or hit the length cap."""
+    """A caption: emitted token ids, their exact summed log probability, and
+    whether the sequence ended with END or hit the length cap."""
 
     tokens: tuple[int, ...]
     log_prob: float
-    state: tuple | None
     finished: bool
 
 
@@ -45,52 +43,58 @@ def beam_search(model: ReviewerModel, inputs: np.ndarray, beam_size: int = 20,
                 max_len: int = MAX_CAPTION_LEN) -> list[Hypothesis]:
     """Length-synchronous beam search over raw summed log probabilities.
 
-    Each round expands every live hypothesis over the full vocabulary, keeps
-    the ``beam_size`` best continuations, and retires finished ones (END
-    emitted, or length cap reached) into the result pool. The pool comes back
-    sorted by log probability, ties broken by shorter length then by
-    lexicographic token ids.
+    Each round scores every live hypothesis over the full vocabulary as one
+    [live, V] matrix, keeps the ``beam_size`` best continuations, and retires
+    finished ones (END emitted, or length cap reached) into the result pool.
+    Continuations with equal log probability rank by their token ids,
+    lexicographically. The pool comes back sorted by log probability, ties
+    broken by shorter length then by lexicographic token ids.
     """
     if beam_size < 1:
         raise ConfigError(f"beam size must be >= 1, got {beam_size}")
     if max_len < 1:
         raise ConfigError(f"max_len must be >= 1, got {max_len}")
     decoder = model.decoder(inputs)
-    vocab = decoder.vocab_size
-    live: list[Hypothesis] = [Hypothesis((), 0.0, decoder.initial_state, False)]
+    state = decoder.initial_state
+    log_prob = np.zeros(1)
+    tokens = np.zeros((1, 0), dtype=np.int64)
+    # rank of each live hypothesis's tokens among the live set: all live
+    # hypotheses have the same length, so a continuation's token tuple orders
+    # as (its parent's rank, its token id)
+    rank = np.zeros(1, dtype=np.int64)
     pool: list[Hypothesis] = []
-    for _ in range(max_len):
-        if not live:
+    for length in range(1, max_len + 1):
+        scores = (log_prob[:, None] + decoder.log_probs(state)).ravel()
+        kept = np.arange(scores.size)
+        if scores.size > beam_size:
+            # every candidate at least as good as the beam_size-th best, ties included
+            bound = np.partition(scores, scores.size - beam_size)[scores.size - beam_size]
+            kept = np.flatnonzero(scores >= bound)
+        parents, toks = np.divmod(kept, decoder.vocab_size)
+        best = np.lexsort((toks, rank[parents], -scores[kept]))[:beam_size]
+        kept, parents, toks = kept[best], parents[best], toks[best]
+        tokens = np.concatenate([tokens[parents], toks[:, None]], axis=1)
+        done = (toks == END_ID) | (length == max_len)
+        pool.extend(Hypothesis(tuple(row), score, True)
+                    for row, score in zip(tokens[done].tolist(), scores[kept[done]].tolist()))
+        live = ~done
+        if not live.any():
             break
-        candidates: list[tuple[float, tuple[int, ...], tuple]] = []
-        for hyp in live:
-            step = decoder.log_probs(hyp.state)
-            for tok in range(vocab):
-                candidates.append((hyp.log_prob + float(step[tok]), hyp.tokens + (tok,), hyp.state))
-        candidates.sort(key=lambda item: (-item[0], item[1]))
-        live = []
-        for log_prob, tokens, state in candidates[:beam_size]:
-            if tokens[-1] == END_ID or len(tokens) == max_len:
-                pool.append(Hypothesis(tokens, log_prob, None, True))
-            else:
-                live.append(Hypothesis(tokens, log_prob, decoder.advance(state, tokens[-1]), False))
+        parents, toks = parents[live], toks[live]
+        log_prob, tokens = scores[kept[live]], tokens[live]
+        order = np.lexsort((toks, rank[parents]))
+        rank = np.empty(len(toks), dtype=np.int64)
+        rank[order] = np.arange(len(toks))
+        state = decoder.advance(state, parents, toks)
     pool.sort(key=lambda h: (-h.log_prob, len(h.tokens), h.tokens))
     return pool
 
 
 def greedy_decode(model: ReviewerModel, inputs: np.ndarray,
                   max_len: int = MAX_CAPTION_LEN) -> list[int]:
-    """Argmax decoding; stops after emitting END or at the length cap."""
-    decoder = model.decoder(inputs)
-    state = decoder.initial_state
-    tokens: list[int] = []
-    for _ in range(max_len):
-        tok = int(np.argmax(decoder.log_probs(state)))
-        tokens.append(tok)
-        if tok == END_ID:
-            break
-        state = decoder.advance(state, tok)
-    return tokens
+    """Argmax decoding, ties to the lowest token id; stops after emitting END
+    or at the length cap. It is beam search with a beam of one."""
+    return list(beam_search(model, inputs, 1, max_len)[0].tokens)
 
 
 def score_caption(model: ReviewerModel, inputs: np.ndarray, tokens: list[int]) -> float:
@@ -100,9 +104,9 @@ def score_caption(model: ReviewerModel, inputs: np.ndarray, tokens: list[int]) -
     decoder = model.decoder(inputs)
     state = decoder.initial_state
     total = 0.0
-    for tok in tokens:
-        total += float(decoder.log_probs(state)[int(tok)])
-        state = decoder.advance(state, tok)
+    for tok in map(int, tokens):
+        total += float(decoder.log_probs(state)[0, tok])
+        state = decoder.advance(state, [0], [tok])
     return total
 
 

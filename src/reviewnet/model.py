@@ -348,11 +348,13 @@ class ReviewerModel:
 
 
 class Decoder:
-    """Numpy-only unrolled decode over frozen parameter values.
+    """Numpy-only decode over frozen parameter values, for a stack of
+    hypotheses at once.
 
-    ``initial_state`` already has the image step and the START token applied,
-    so ``log_probs`` on it scores the first real caption token. States are
-    immutable tuples of per-layer (h, c) arrays.
+    A state holds k hypotheses as one (h, c) pair of [k, H] rows per layer.
+    ``initial_state`` is one row that already has the image step and the
+    START token applied, so ``log_probs`` on it scores the first real caption
+    token.
     """
 
     def __init__(self, model: ReviewerModel, image_input: np.ndarray):
@@ -362,25 +364,36 @@ class Decoder:
         self._out_w = model.out_proj.weight.data
         self._out_b = model.out_proj.bias.data
         self.vocab_size = self._out_w.shape[0]
-        state = tuple((np.zeros(hd), np.zeros(hd)) for *_, hd in self._layers)
-        state = self._step(state, image_input)
-        self.initial_state = self._step(state, self._embedding[START_ID])
+        state = tuple((np.zeros((1, hd)), np.zeros((1, hd))) for *_, hd in self._layers)
+        state = self._step(state, image_input[None])
+        self.initial_state = self._step(state, self._embedding[[START_ID]])
 
     def _step(self, state, x: np.ndarray):
         new = []
         for (wi, wh, b, _), (h, c) in zip(self._layers, state):
-            h, c, _ = lstm_cell(wi @ x + wh @ h + b, c)
+            # summed in place: two [k, 4H] arrays per layer instead of four,
+            # the same sums in the same order
+            gates = x @ wi.T
+            gates += h @ wh.T
+            gates += b
+            h, c, _ = lstm_cell(gates, c)
             new.append((h, c))
             x = h
         return tuple(new)
 
-    def advance(self, state, token_id: int):
-        return self._step(state, self._embedding[int(token_id)])
+    def advance(self, state, parents: np.ndarray, token_ids: np.ndarray):
+        """Row ``parents[j]`` of ``state`` stepped on token ``token_ids[j]``,
+        for every j, as one state; a parent may repeat."""
+        parents = np.asarray(parents)
+        return self._step(tuple((h[parents], c[parents]) for h, c in state),
+                          self._embedding[np.asarray(token_ids)])
 
     def log_probs(self, state) -> np.ndarray:
-        logits = self._out_w @ state[-1][0] + self._out_b
-        z = logits - logits.max()
-        return z - np.log(np.exp(z).sum())
+        """Next-token log probabilities [k, V] of every row of ``state``."""
+        z = state[-1][0] @ self._out_w.T
+        z += self._out_b
+        z -= z.max(axis=1, keepdims=True)
+        return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
 # ---------------------------------------------------------------------------

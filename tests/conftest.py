@@ -27,10 +27,11 @@ def randomize_params(model, rng, scale=1.0):
     return model
 
 
-def toy_generator(seed, vocab_size=6):
+def toy_generator(seed, vocab_size=6, lstm_layers=1):
     """Tiny v2l model with Gaussian parameters, for exhaustive decoding checks."""
     model = ReviewerModel("v2l", ModelConfig(vocab_size=vocab_size, feature_dim=4,
-                                             embed_dim=4, hidden_dim=5), seed=seed)
+                                             embed_dim=4, hidden_dim=5,
+                                             lstm_layers=lstm_layers), seed=seed)
     return randomize_params(model, np.random.default_rng(seed))
 
 

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from reviewnet.dataset import END_ID, START_ID, Label
 from reviewnet.errors import ConfigError, ContractError
 from reviewnet.inference import (beam_search, greedy_decode, predict_class,
                                  score_caption, strip_end)
+from reviewnet.model import Decoder
+from reviewnet.tensor import lstm_cell
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +129,129 @@ def test_beam_is_deterministic():
     a = beam_search(model, features, beam_size=5, max_len=4)
     b = beam_search(model, features, beam_size=5, max_len=4)
     assert [(h.tokens, h.log_prob) for h in a] == [(h.tokens, h.log_prob) for h in b]
+
+
+# ---------------------------------------------------------------------------
+# the per-hypothesis reference: the decoder and search the stacked ones replaced
+
+
+class _ReferenceDecoder:
+    """One matvec per layer and hypothesis; a state is a tuple of per-layer
+    (h, c) vectors."""
+
+    def __init__(self, model, image_input):
+        self._layers = [(c.w_input.data, c.w_hidden.data, c.bias.data, c.hidden_dim)
+                        for c in model.cells]
+        self._embedding = model.embedding.table.data
+        self._out_w = model.out_proj.weight.data
+        self._out_b = model.out_proj.bias.data
+        self.vocab_size = self._out_w.shape[0]
+        state = tuple((np.zeros(hd), np.zeros(hd)) for *_, hd in self._layers)
+        state = self._step(state, image_input)
+        self.initial_state = self._step(state, self._embedding[START_ID])
+
+    def _step(self, state, x):
+        new = []
+        for (wi, wh, b, _), (h, c) in zip(self._layers, state):
+            h, c, _ = lstm_cell(wi @ x + wh @ h + b, c)
+            new.append((h, c))
+            x = h
+        return tuple(new)
+
+    def advance(self, state, token_id):
+        return self._step(state, self._embedding[int(token_id)])
+
+    def log_probs(self, state):
+        logits = self._out_w @ state[-1][0] + self._out_b
+        z = logits - logits.max()
+        return z - np.log(np.exp(z).sum())
+
+
+def _reference_beam_search(model, features, beam_size, max_len):
+    """Every live hypothesis times every token as a (log_prob, tokens, state)
+    tuple, sorted by (-log_prob, tokens). Returns the pool as (tokens,
+    log_prob, finished) and how many kept candidates tied in log probability
+    with the next one in that order."""
+    decoder = _ReferenceDecoder(model, oracle_decoder(model, features)[1])
+    live = [((), 0.0, decoder.initial_state)]
+    pool, ties = [], 0
+    for _ in range(max_len):
+        if not live:
+            break
+        candidates = []
+        for tokens, log_prob, state in live:
+            step = decoder.log_probs(state)
+            for tok in range(decoder.vocab_size):
+                candidates.append((log_prob + float(step[tok]), tokens + (tok,), state))
+        candidates.sort(key=lambda item: (-item[0], item[1]))
+        ties += sum(a[0] == b[0] for a, b in zip(candidates[:beam_size], candidates[1:]))
+        live = []
+        for log_prob, tokens, state in candidates[:beam_size]:
+            if tokens[-1] == END_ID or len(tokens) == max_len:
+                pool.append((tokens, log_prob, True))
+            else:
+                live.append((tokens, log_prob, decoder.advance(state, tokens[-1])))
+    pool.sort(key=lambda h: (-h[1], len(h[0]), h[0]))
+    return pool, ties
+
+
+def _tie_heavy(model, out_proj):
+    """``zeroed``: every token equally likely from every state.
+    ``zero-weight``: every state has the same distribution, so two orders of
+    the same tokens tie exactly while their parents' scores differ.
+    ``rounded``: output weights scaled by 0.1 and biases by 0.05, both rounded
+    to 0.1, so that many output rows repeat and their tokens tie exactly."""
+    weight, bias = model.out_proj.weight.data, model.out_proj.bias.data
+    if out_proj in ("zeroed", "zero-weight"):
+        weight[...] = 0.0
+    if out_proj == "zeroed":
+        bias[...] = 0.0
+    elif out_proj == "rounded":
+        weight[...] = np.round(0.1 * weight, 1)
+        bias[...] = np.round(0.05 * bias, 1)
+    return model
+
+
+@pytest.mark.parametrize("lstm_layers", [1, 2])
+@pytest.mark.parametrize("out_proj", ["gaussian", "zeroed", "zero-weight", "rounded"])
+def test_beam_search_matches_tuple_sorting_reference(out_proj, lstm_layers):
+    vocab_size = 6
+    ties = 0
+    for seed in range(16):
+        model = _tie_heavy(toy_generator(seed, vocab_size, lstm_layers), out_proj)
+        features = np.random.default_rng(8000 + seed).normal(size=4)
+        for beam, max_len in ((1, 5), (3, 5), (20, 5), (vocab_size ** 3 + 1, 3)):
+            got = beam_search(model, features, beam_size=beam, max_len=max_len)
+            want, n = _reference_beam_search(model, features, beam, max_len)
+            ties += n
+            assert [(h.tokens, h.finished) for h in got] == [(t, f) for t, _, f in want]
+            assert max(abs(h.log_prob - lp) for h, (_, lp, _) in zip(got, want)) <= 1e-12
+    if out_proj != "gaussian":
+        assert ties >= 50, f"only {ties} ties in the kept candidates"
+
+
+def test_beam_search_steps_every_live_hypothesis_at_once(monkeypatch):
+    calls, rows = Counter(), []
+
+    def counted(name):
+        original = getattr(Decoder, name)
+
+        def wrapper(self, state, *args):
+            calls[name] += 1
+            rows.append(len(state[-1][0]))
+            return original(self, state, *args)
+        return wrapper
+
+    for name in ("log_probs", "advance"):
+        monkeypatch.setattr(Decoder, name, counted(name))
+    model = toy_generator(5, vocab_size=30)
+    max_len = 8
+    for seed in range(3):
+        calls.clear()
+        beam_search(model, np.random.default_rng(seed).normal(size=4), beam_size=20,
+                    max_len=max_len)
+        assert 1 <= calls["log_probs"] <= max_len and calls["advance"] <= max_len
+    assert max(rows) == 20
 
 
 def test_beam_rejects_bad_sizes(rng):

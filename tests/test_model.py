@@ -275,6 +275,38 @@ def test_modality_guards(rng):
 
 
 # ---------------------------------------------------------------------------
+# the stacked decoder
+
+
+def test_stacked_decoder_rows_match_oracle_per_state(rng):
+    vocab_size, k = 50, 20
+    model = ReviewerModel("v2l", ModelConfig(vocab_size=vocab_size, feature_dim=512, embed_dim=512,
+                                             hidden_dim=512, lstm_layers=2), seed=3)
+    features = rng.normal(size=512)
+    decoder = model.decoder(features)
+    dec, x_img = oracle_decoder(model, features)
+    start = dec.advance(dec.advance(dec.initial_state(), x_img), dec.embedding[START_ID])
+
+    def assert_rows_match(state, singles):
+        log_probs = decoder.log_probs(state)
+        assert log_probs.shape == (len(singles), vocab_size)
+        for j, single in enumerate(singles):
+            for (h, c), (h_ref, c_ref) in zip(state, single):
+                assert np.max(np.abs(h[j] - h_ref)) <= 1e-12
+                assert np.max(np.abs(c[j] - c_ref)) <= 1e-12
+            assert np.max(np.abs(log_probs[j] - dec.log_probs(single))) <= 1e-12
+
+    state, singles = decoder.initial_state, [start]
+    assert_rows_match(state, singles)
+    for parents in (np.zeros(k, dtype=np.int64), rng.integers(0, k, size=k)):
+        parents[:4] = parents[4]  # a parent stepped on several tokens
+        tokens = rng.integers(0, vocab_size, size=k)
+        state = decoder.advance(state, parents, tokens)
+        singles = [dec.advance(singles[p], dec.embedding[t]) for p, t in zip(parents, tokens)]
+        assert_rows_match(state, singles)
+
+
+# ---------------------------------------------------------------------------
 # checkpoints
 
 
