@@ -120,14 +120,14 @@ def _primitive_cases(rng: np.random.Generator):
         return sum_all(mul(t, Tensor(seed_vec)))
 
     a, b = param(3, 4), param(4, 2)
-    r_mm, r5, r5b, r10, r32 = (rng.normal(size=s) for s in [(3, 2), 5, 5, 10, 32])
-    x_img, kern, kern_b = param(2, 6, 6), param(3, 2, 3, 3), param(3)
+    r_mm, r5, r5b, r10, r64 = (rng.normal(size=s) for s in [(3, 2), 5, 5, 10, 64])
+    x_img, kern, kern_b = param(2, 2, 6, 6), param(3, 2, 3, 3), param(3)
     # keep relu inputs away from the kink so finite differences stay clean
     u = Tensor(rng.normal(size=7) + np.where(rng.normal(size=7) > 0, 0.5, -0.5),
                requires_grad=True)
     v, w = param(5), param(5)
     tab = param(6, 4)
-    pool_in = param(2, 4, 4)
+    pool_in = param(2, 2, 4, 4)
     mask = rng.random(5) < 0.7
     q, rows, lin_w, lin_b = param(4), param(2, 3, 4), param(5, 4), param(5)
     r_lin = rng.normal(size=(2, 3, 5))
@@ -168,7 +168,7 @@ def _primitive_cases(rng: np.random.Generator):
          lambda: reduce(embedding_lookup(tab, np.array([[2, 0], [2, 5]])), r_cat[:, :2])),
         ("dropout", [v], lambda: sum_all(dropout(v, 0.7, mask=mask))),
         ("max_pool2", [pool_in], lambda: sum_all(max_pool2(pool_in))),
-        ("reshape", [pool_in], lambda: reduce(reshape(pool_in, (-1,)), r32)),
+        ("reshape", [pool_in], lambda: reduce(reshape(pool_in, (-1,)), r64)),
         ("lstm_sequence", [seq_x, seq_h0, seq_c0, seq_wi, seq_wh, seq_b], sequence_loss),
     ]
     return cases

@@ -374,6 +374,8 @@ def load_dataset(data_dir: str | Path, rule: LabelRule = LabelRule()) -> ReviewD
                 f"{manifest}:{lineno + 1}: label {ex.label.name} inconsistent with score {ex.score}")
         examples.append(ex)
 
+    if not examples:
+        raise DataError(f"{manifest} lists no examples")
     if len(examples) != payload.shape[0]:
         raise DataError(
             f"{data_dir}: manifest has {len(examples)} examples but the binary payload has "

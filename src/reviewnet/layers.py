@@ -124,13 +124,15 @@ class TinyConvEncoder:
         self.conv2_bias = uniform_param(rng, (16,))
         self.fc = Dense(out_dim, self._FLAT, rng=rng)
 
-    def __call__(self, image: Tensor) -> Tensor:
-        if image.data.shape != self.IMAGE_SHAPE:
-            raise ShapeError(
-                f"encoder expects an image of shape {self.IMAGE_SHAPE}, got {image.data.shape}")
-        y = max_pool2(relu(conv2d(image, self.conv1_kernels, self.conv1_bias)))
+    def __call__(self, images: Tensor) -> Tensor:
+        """One image [3,32,32] to a vector, or a batch [B,3,32,32] to rows."""
+        shape = images.data.shape
+        if shape[-3:] != self.IMAGE_SHAPE or len(shape) not in (3, 4):
+            raise ShapeError(f"encoder expects images of shape [B,]{self.IMAGE_SHAPE}, got {shape}")
+        y = reshape(images, (-1,) + self.IMAGE_SHAPE)
+        y = max_pool2(relu(conv2d(y, self.conv1_kernels, self.conv1_bias)))
         y = max_pool2(relu(conv2d(y, self.conv2_kernels, self.conv2_bias)))
-        return self.fc(reshape(y, (-1,)))
+        return self.fc(reshape(y, shape[:-3] + (-1,)))
 
     def named_params(self, prefix: str = "encoder") -> dict[str, Tensor]:
         out = {

@@ -188,17 +188,13 @@ class ReviewerModel:
     # -- forward ------------------------------------------------------------
 
     def image_representation(self, inputs: np.ndarray) -> Tensor:
-        """Feature vector for one example: file features or the encoder output."""
+        """Features of one example (a vector) or of a stacked batch (rows)."""
         arr = np.asarray(inputs, dtype=np.float64)
         if self.encoder is not None:
             return self.encoder(Tensor(arr))
-        if arr.ndim != 1:
-            raise ShapeError(
-                f"this model consumes precomputed feature vectors, got input of shape {arr.shape}")
-        if arr.shape != (self.config.feature_dim,):
-            raise ShapeError(
-                f"feature vector of width {arr.shape[0]} does not match the model's "
-                f"feature width {self.config.feature_dim}")
+        if arr.ndim not in (1, 2) or arr.shape[-1] != self.config.feature_dim:
+            raise ShapeError(f"this model consumes feature vectors of width "
+                             f"{self.config.feature_dim}, got input of shape {arr.shape}")
         return Tensor(arr)
 
     def representation(self, v: Tensor) -> tuple[Tensor, Tensor]:
@@ -298,7 +294,7 @@ class ReviewerModel:
         if alpha < 0 or beta < 0:
             raise ContractError(f"loss weights must be non-negative, got alpha={alpha}, beta={beta}")
         n = len(inputs)
-        v = concat([reshape(self.image_representation(x), (1, -1)) for x in inputs], axis=0)
+        v = self.image_representation(np.stack(inputs))
         rep_cls, rep_gen = self.representation(v)
         class_logits = token_logits = aesthetics = language = loss = None
         if self.variant.has_classifier:

@@ -508,23 +508,23 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 def _correlate(x: np.ndarray, kernels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Valid cross-correlation of [c,h,w] ``x`` with [f,c,kh,kw] ``kernels``,
-    and the [c,h',w',kh,kw] windows of ``x`` it read."""
-    windows = sliding_window_view(x, kernels.shape[2:], axis=(1, 2))
-    return np.einsum("fckl,chwkl->fhw", kernels, windows, optimize=True), windows
+    """Valid cross-correlation of [B,c,h,w] ``x`` with [f,c,kh,kw] ``kernels``,
+    and the [B,c,h',w',kh,kw] windows of ``x`` it read."""
+    windows = sliding_window_view(x, kernels.shape[2:], axis=(2, 3))
+    return np.einsum("fckl,bchwkl->bfhw", kernels, windows, optimize=True), windows
 
 
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
-    """Valid (no padding, stride 1) cross-correlation of a [c,h,w] input with
+    """Valid (no padding, stride 1) cross-correlation of a [B,c,h,w] batch with
     [f,c,kh,kw] kernels, plus a per-channel bias [f].
 
     The input gradient is the full correlation of the output gradient with
     the kernels flipped in space and transposed over channels.
     """
     xd, kd, bd = x.data, kernels.data, bias.data
-    if xd.ndim != 3 or kd.ndim != 4:
-        raise ShapeError(f"conv2d needs [c,h,w] and [f,c,kh,kw], got {xd.shape} and {kd.shape}")
-    c, h, w = xd.shape
+    if xd.ndim != 4 or kd.ndim != 4:
+        raise ShapeError(f"conv2d needs [B,c,h,w] and [f,c,kh,kw], got {xd.shape} and {kd.shape}")
+    _, c, h, w = xd.shape
     f, kc, kh, kw = kd.shape
     if kc != c:
         raise ShapeError(f"conv2d: input has {c} channels but kernels expect {kc}")
@@ -536,39 +536,40 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
 
     def grad_fn(g: np.ndarray) -> None:
         if kernels.requires_grad:
-            kernels.grad += np.einsum("fhw,chwkl->fckl", g, windows, optimize=True)
+            # per image, then summed in batch order: contracting b too rounds differently
+            kernels.grad += np.einsum("bfhw,bchwkl->bfckl", g, windows, optimize=True).sum(axis=0)
         if bias.requires_grad:
-            bias.grad += g.sum(axis=(1, 2))
+            bias.grad += g.sum(axis=(2, 3)).sum(axis=0)
         if x.requires_grad:
-            padded = np.pad(g, ((0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
+            padded = np.pad(g, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
             x.grad += _correlate(padded, kd.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])[0]
 
     return _track(out + bd[:, None, None], (x, kernels, bias), grad_fn)
 
 
 def max_pool2(x: Tensor) -> Tensor:
-    """2x2 max pooling with stride 2; a trailing odd row/column is dropped.
+    """2x2 max pooling with stride 2 over [B,c,h,w]; a trailing odd row/column is dropped.
 
     Ties within a window route the gradient to the first (top-left-most) max.
     """
-    if x.data.ndim != 3:
-        raise ShapeError(f"max_pool2 needs [c,h,w], got shape {x.data.shape}")
-    c, h, w = x.data.shape
+    if x.data.ndim != 4:
+        raise ShapeError(f"max_pool2 needs [B,c,h,w], got shape {x.data.shape}")
+    n, c, h, w = x.data.shape
     h2, w2 = h // 2, w // 2
     if h2 == 0 or w2 == 0:
         raise ShapeError(f"max_pool2: input {h}x{w} smaller than the 2x2 window")
-    blocks = (x.data[:, :2 * h2, :2 * w2]
-              .reshape(c, h2, 2, w2, 2)
-              .transpose(0, 1, 3, 2, 4)
-              .reshape(c, h2, w2, 4))
+    blocks = (x.data[:, :, :2 * h2, :2 * w2]
+              .reshape(n, c, h2, 2, w2, 2)
+              .transpose(0, 1, 2, 4, 3, 5)
+              .reshape(n, c, h2, w2, 4))
     idx = blocks.argmax(axis=-1)
     out = np.take_along_axis(blocks, idx[..., None], axis=-1)[..., 0]
 
     def grad_fn(g: np.ndarray) -> None:
         if x.requires_grad:
             gx = np.zeros_like(x.data)
-            cs, hs, ws = np.indices((c, h2, w2))
-            gx[cs, 2 * hs + idx // 2, 2 * ws + idx % 2] += g
+            bs, cs, hs, ws = np.indices((n, c, h2, w2))
+            gx[bs, cs, 2 * hs + idx // 2, 2 * ws + idx % 2] += g
             x.grad += gx
 
     return _track(out, (x,), grad_fn)

@@ -36,8 +36,10 @@ class TrainConfig:
     clip_norm: float | None = None  # off by default; long unrolls can spike
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ConfigError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        if self.clip_norm is not None and not 0.0 < self.clip_norm < np.inf:
+            raise ConfigError(f"clip_norm must be None or finite and positive, got {self.clip_norm}")
         if not 0.0 < self.dropout_keep <= 1.0:
             raise ConfigError(f"dropout_keep must be in (0, 1], got {self.dropout_keep}")
         if self.batch_size < 1:

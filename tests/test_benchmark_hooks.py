@@ -5,8 +5,17 @@ The perfbench sources are only read: no bytecode is written next to them."""
 import importlib.util
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+
+from conftest import tiny_model
+from reviewnet.dataset import END_ID
+from reviewnet.inference import score_caption
+from reviewnet.layers import TinyConvEncoder
+from reviewnet.model import Variant
+from reviewnet.tensor import Tensor
+from reviewnet.trainer import Instance, TrainConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -40,3 +49,34 @@ def test_span_targets_resolve_to_callables(load_perfbench):
 def test_probes_import(load_perfbench):
     probes = load_perfbench("probes")
     assert callable(probes.layer_timings) and callable(probes.tape_counts)
+
+
+@pytest.mark.parametrize("variant", [v.value for v in Variant if v.has_generator])
+def test_rescore_of_one_example_matches_score_caption(load_perfbench, variant, rng):
+    # perfbench's decode check rescores one example at a time: its feature
+    # vector or image goes to image_representation unbatched
+    checks = load_perfbench("checks")
+    model = tiny_model(variant, seed=2)
+    inputs = (rng.random(TinyConvEncoder.IMAGE_SHAPE) if model.encoder is not None
+              else rng.normal(size=8))
+    tokens = [4, 7, 5, END_ID]
+    assert checks.rescore(model, inputs, tokens) == pytest.approx(
+        score_caption(model, inputs, tokens), abs=1e-9)
+
+
+def test_layer_probes_run_on_one_example(load_perfbench, monkeypatch, rng):
+    # the probes call the encoder on one unbatched image, LSTMCell.step on one
+    # state, and count the tape of instance_loss on one instance
+    probes = load_perfbench("probes")
+    monkeypatch.setattr(probes, "PROBE_MAX_CALLS", 2)
+    jobs = []
+    for variant, inputs in ((Variant.V2L, rng.normal(size=8)),
+                            (Variant.MT_BASELINE, rng.random(TinyConvEncoder.IMAGE_SHAPE))):
+        jobs.append(SimpleNamespace(variant=variant, model=tiny_model(variant, seed=2),
+                                    config=TrainConfig(),
+                                    instances=[Instance("img", inputs, 1, (4, 5))]))
+    assert jobs[1].model.encoder(Tensor(jobs[1].instances[0].inputs)).data.shape == (8,)
+    timings = probes.layer_timings(jobs, seed=0)
+    assert timings and all(len(samples) == 2 for samples in timings.values())
+    nodes, megabytes = probes.tape_counts(jobs)
+    assert nodes > 0 and megabytes > 0

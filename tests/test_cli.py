@@ -1,4 +1,5 @@
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -140,12 +141,28 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         run("no-such-command")
     assert err.value.code == 2
+    data, ckpt = tmp_path / "data", tmp_path / "m.ckpt"
+    assert run("synth-data", "--seed", 3, "--n-images", 12, "--out", data) == 0
+    assert run("build-vocab", "--data", data) == 0
+    # a negative clip norm flips updates, zero stops them, nan turns clipping off;
+    # a non-finite learning rate would only fail after the first step
+    for flag, value in (("--clip-norm", -1), ("--clip-norm", 0), ("--clip-norm", "nan"),
+                        ("--lr", "inf"), ("--lr", "nan"), ("--lr", 0)):
+        assert run("train", "--data", data, "--variant", "model1", "--epochs", 1,
+                   "--out", ckpt, flag, value, *TRAIN_FLAGS) == 2
+        assert not ckpt.exists()
 
 
 def test_missing_data_exits_3(tmp_path, capsys):
     assert run("build-vocab", "--data", tmp_path / "nowhere") == 3
     assert run("evaluate", "--data", tmp_path / "nowhere", "--ckpt", tmp_path / "x.ckpt",
                "--report", tmp_path / "r.json") == 3
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (empty / "manifest.jsonl").write_text("")
+    (empty / "features.bin").write_bytes(FEATURES_MAGIC + struct.pack("<II", 0, 16))
+    assert run("train", "--data", empty, "--variant", "iac", "--epochs", 1,
+               "--out", tmp_path / "i.ckpt", *TRAIN_FLAGS) == 3
 
 
 def test_caption_train_without_vocab_exits_3(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -299,4 +300,11 @@ def test_load_rejects_missing_payload(tmp_path):
     save_dataset(ds, tmp_path)
     (tmp_path / "features.bin").unlink()
     with pytest.raises(DataError):
+        load_dataset(tmp_path)
+
+
+def test_load_rejects_empty_manifest(tmp_path):
+    (tmp_path / "manifest.jsonl").write_text("\n")
+    (tmp_path / "features.bin").write_bytes(FEATURES_MAGIC + struct.pack("<II", 0, 16))
+    with pytest.raises(DataError, match="no examples"):
         load_dataset(tmp_path)

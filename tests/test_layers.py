@@ -4,7 +4,7 @@ import pytest
 from reviewnet import oracles
 from reviewnet.errors import ShapeError
 from reviewnet.layers import Dense, EmbeddingTable, LSTMCell, LSTMState, TinyConvEncoder
-from reviewnet.tensor import Tensor, backward, sum_all
+from reviewnet.tensor import Tensor, backward, conv2d, max_pool2, mul, relu, sum_all
 
 
 def make_cell(rng, input_dim=3, hidden_dim=4):
@@ -115,8 +115,45 @@ def test_encoder_output_width_is_input_independent(rng, width):
 
 def test_encoder_rejects_wrong_shape(rng):
     enc = TinyConvEncoder(8, rng=rng)
-    with pytest.raises(ShapeError):
-        enc(Tensor(np.zeros((3, 16, 16))))
+    for shape in ((3, 16, 16), (2, 3, 16, 16), (2, 2, 3, 32, 32), (32, 32)):
+        with pytest.raises(ShapeError):
+            enc(Tensor(np.zeros(shape)))
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_encoder_stages_batched_match_per_image_loop(rng, n):
+    enc = TinyConvEncoder(16, rng=rng)
+    images = rng.random((n,) + TinyConvEncoder.IMAGE_SHAPE)
+    stages = [(enc.conv1_kernels, enc.conv1_bias), (enc.conv2_kernels, enc.conv2_bias)]
+
+    def stage(x, kernels, bias, seed_rows):
+        kernels.zero_grad()
+        bias.zero_grad()
+        out = max_pool2(relu(conv2d(x, kernels, bias)))
+        backward(sum_all(mul(out, Tensor(seed_rows))))
+        return out.data, kernels.grad.copy(), bias.grad.copy()
+
+    x = images
+    for kernels, bias in stages:
+        # a valid 3x3 correlation, then 2x2 pooling
+        side = (x.shape[-1] - 2) // 2
+        seed_rows = rng.normal(size=(n, kernels.data.shape[0], side, side))
+        got = stage(Tensor(x), kernels, bias, seed_rows)
+        # one image at a time, each image's gradients added in batch order
+        outs, want_k, want_b = [], np.zeros_like(kernels.data), np.zeros_like(bias.data)
+        for b in range(n):
+            out, grad_k, grad_b = stage(Tensor(x[b:b + 1]), kernels, bias, seed_rows[b:b + 1])
+            outs.append(out)
+            want_k += grad_k
+            want_b += grad_b
+        assert np.array_equal(got[0], np.concatenate(outs))
+        assert np.array_equal(got[1], want_k)
+        assert np.array_equal(got[2], want_b)
+        x = got[0]
+    rows = enc(Tensor(images)).data
+    assert rows.shape == (n, 16)
+    for image, row in zip(images, rows):
+        assert np.max(np.abs(row - enc(Tensor(image)).data)) <= 1e-12
 
 
 def test_encoder_conv_weight_gradient_matches_finite_differences(rng):

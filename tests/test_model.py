@@ -268,6 +268,10 @@ def test_modality_guards(rng):
     frozen = tiny_model("model1")
     with pytest.raises(ShapeError):
         frozen.image_representation(rng.random((3, 32, 32)))
+    # one feature vector or a stacked batch of them, nothing deeper
+    assert frozen.image_representation(np.zeros((2, 8))).data.shape == (2, 8)
+    with pytest.raises(ShapeError):
+        frozen.image_representation(rng.normal(size=(2, 3, 8)))
     mtb = ReviewerModel(Variant.MT_BASELINE, ModelConfig(vocab_size=10, feature_dim=8,
                                                          embed_dim=8, hidden_dim=8), seed=0)
     with pytest.raises(ShapeError, match=r"\(3, 32, 32\)"):

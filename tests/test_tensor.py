@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,7 +54,7 @@ def test_matmul_shape_error_names_both_shapes():
 
 
 def test_conv2d_identity_kernel():
-    x = np.arange(18.0).reshape(2, 3, 3)
+    x = np.arange(18.0).reshape(1, 2, 3, 3)
     kernels = np.zeros((2, 2, 1, 1))
     kernels[0, 0, 0, 0] = 1.0
     kernels[1, 1, 0, 0] = 1.0
@@ -61,9 +63,9 @@ def test_conv2d_identity_kernel():
 
 
 def test_conv2d_summation_kernel():
-    out = conv2d(Tensor(np.ones((1, 3, 3))), Tensor(np.ones((1, 1, 2, 2))),
+    out = conv2d(Tensor(np.ones((1, 1, 3, 3))), Tensor(np.ones((1, 1, 2, 2))),
                  Tensor([0.5])).data
-    assert out.shape == (1, 2, 2)
+    assert out.shape == (1, 1, 2, 2)
     assert np.all(out == 4.5)
 
 
@@ -71,40 +73,51 @@ CONV_SHAPES = [((8, 15, 15), (16, 8, 3, 3)), ((3, 7, 6), (4, 3, 3, 2)), ((2, 5, 
 
 
 def test_conv2d_matches_nested_loop_oracle(rng):
-    for x_shape, k_shape in CONV_SHAPES:
-        x, k, b = rng.normal(size=x_shape), rng.normal(size=k_shape), rng.normal(size=k_shape[0])
+    for (x_shape, k_shape), n in itertools.product(CONV_SHAPES, (1, 3)):
+        x = rng.normal(size=(n,) + x_shape)
+        k, b = rng.normal(size=k_shape), rng.normal(size=k_shape[0])
         got = conv2d(Tensor(x), Tensor(k), Tensor(b)).data
-        want = oracles.naive_conv2d(x, k) + b[:, None, None]
-        assert np.max(np.abs(got - want)) <= 1e-12
+        for image, out in zip(x, got):
+            want = oracles.naive_conv2d(image, k) + b[:, None, None]
+            assert np.max(np.abs(out - want)) <= 1e-12
 
 
 def test_conv2d_input_grad_matches_per_position_reference(rng):
-    for x_shape, k_shape in CONV_SHAPES:
-        xd, kd = rng.normal(size=x_shape), rng.normal(size=k_shape)
+    for (x_shape, k_shape), n in itertools.product(CONV_SHAPES, (1, 3)):
+        xd, kd = rng.normal(size=(n,) + x_shape), rng.normal(size=k_shape)
         x, k, b = (Tensor(a, requires_grad=True) for a in (xd, kd, rng.normal(size=k_shape[0])))
         _, _, kh, kw = kd.shape
-        hp, wp = xd.shape[1] - kh + 1, xd.shape[2] - kw + 1
-        g = rng.normal(size=(kd.shape[0], hp, wp))
+        hp, wp = xd.shape[2] - kh + 1, xd.shape[3] - kw + 1
+        g = rng.normal(size=(n, kd.shape[0], hp, wp))
         backward(sum_all(mul(conv2d(x, k, b), Tensor(g))))
-        # every output position scatters its kernel-weighted gradient back over its window
-        want_x = np.zeros_like(xd)
-        for i in range(hp):
-            for j in range(wp):
-                want_x[:, i:i + kh, j:j + kw] += np.tensordot(g[:, i, j], kd, axes=(0, 0))
+        # image by image, every output position scatters its kernel-weighted
+        # gradient back over its window
         want_k = np.zeros_like(kd)
-        for u in range(kh):
-            for v in range(kw):
-                want_k[:, :, u, v] = np.tensordot(g, xd[:, u:u + hp, v:v + wp],
-                                                  axes=([1, 2], [1, 2]))
-        for got, want in ((x.grad, want_x), (k.grad, want_k), (b.grad, g.sum(axis=(1, 2)))):
+        for image, g_image, got_x in zip(xd, g, x.grad):
+            want_x = np.zeros_like(image)
+            for i in range(hp):
+                for j in range(wp):
+                    want_x[:, i:i + kh, j:j + kw] += np.tensordot(g_image[:, i, j], kd,
+                                                                  axes=(0, 0))
+            assert np.max(np.abs(got_x - want_x)) <= 1e-12 * np.max(np.abs(want_x))
+            for u in range(kh):
+                for v in range(kw):
+                    want_k[:, :, u, v] += np.tensordot(g_image, image[:, u:u + hp, v:v + wp],
+                                                       axes=([1, 2], [1, 2]))
+        for got, want in ((k.grad, want_k), (b.grad, g.sum(axis=(0, 2, 3)))):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_conv2d_channel_mismatch():
     with pytest.raises(ShapeError):
-        conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((1, 3, 2, 2))), Tensor(np.zeros(1)))
+        conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 3, 2, 2))),
+               Tensor(np.zeros(1)))
     with pytest.raises(ShapeError, match="bias"):
-        conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((3, 2, 2, 2))), Tensor(np.zeros(2)))
+        conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((3, 2, 2, 2))),
+               Tensor(np.zeros(2)))
+    # one image is a batch of one, never a bare [c,h,w]
+    with pytest.raises(ShapeError, match=r"\[B,c,h,w\]"):
+        conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((3, 2, 2, 2))), Tensor(np.zeros(3)))
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +285,7 @@ def test_composite_graph_matches_finite_differences(seed):
 @pytest.mark.parametrize("seed", range(10))
 def test_conv_pool_flatten_grad_matches_finite_differences(seed):
     rng = np.random.default_rng(seed)
-    x = Tensor(rng.normal(size=(2, 6, 6)), requires_grad=True)
+    x = Tensor(rng.normal(size=(1, 2, 6, 6)), requires_grad=True)
     k = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
     b = Tensor(rng.normal(size=3), requires_grad=True)
     r = rng.normal(size=12)
@@ -371,7 +384,9 @@ def test_concat_and_slice_roundtrip(rng):
 
 
 def test_max_pool_drops_odd_edge(rng):
-    x = rng.normal(size=(1, 5, 5))
+    x = rng.normal(size=(1, 1, 5, 5))
     out = max_pool2(Tensor(x)).data
-    assert out.shape == (1, 2, 2)
-    assert out[0, 0, 0] == x[0, :2, :2].max()
+    assert out.shape == (1, 1, 2, 2)
+    assert out[0, 0, 0, 0] == x[0, 0, :2, :2].max()
+    with pytest.raises(ShapeError, match=r"\[B,c,h,w\]"):
+        max_pool2(Tensor(x[0]))
