@@ -12,8 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import END_ID, MAX_CAPTION_LEN, Label
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, ShapeError
 from .model import ReviewerModel
+from .tensor import _int_indices
 
 
 @dataclass(frozen=True)
@@ -30,11 +31,10 @@ def predict_class(model: ReviewerModel, inputs: np.ndarray) -> tuple[Label, floa
     """Argmax of the 2-way softmax; an exact tie resolves to Low."""
     if not model.variant.has_classifier:
         raise ContractError(f"variant {model.variant.value} has no classifier head")
-    v = model.image_representation(inputs)
-    rep_cls, _ = model.representation(v)
+    rep_cls, _ = model.example_representation(inputs)
     logits = model.class_logits(rep_cls).data
-    z = logits - logits.max()
-    probs = np.exp(z) / np.exp(z).sum()
+    e = np.exp(logits - logits.max())
+    probs = e / e.sum()
     pred = int(np.argmax(logits))  # argmax returns the first max, i.e. Low on ties
     return Label(pred), float(probs[pred])
 
@@ -98,13 +98,20 @@ def greedy_decode(model: ReviewerModel, inputs: np.ndarray,
 
 
 def score_caption(model: ReviewerModel, inputs: np.ndarray, tokens: list[int]) -> float:
-    """Exact summed log probability of emitting ``tokens`` as given."""
-    if not tokens:
+    """Exact summed log probability of emitting ``tokens`` as given.
+
+    Non-integer token ids raise ``ContractError``, ids outside the vocabulary
+    ``IndexError``.
+    """
+    if len(tokens) == 0:
         raise ContractError("cannot score an empty caption")
     decoder = model.decoder(inputs)
+    ids = _int_indices(tokens, decoder.vocab_size, "token id")
+    if ids.ndim != 1:
+        raise ShapeError(f"a caption is one sequence of token ids, got shape {ids.shape}")
     state = decoder.initial_state
     total = 0.0
-    for tok in map(int, tokens):
+    for tok in ids.tolist():
         total += float(decoder.log_probs(state)[0, tok])
         state = decoder.advance(state, [0], [tok])
     return total

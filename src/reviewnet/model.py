@@ -212,6 +212,13 @@ class ReviewerModel:
             return concat([self.cls_specific(v), s]), concat([self.gen_specific(v), s])
         return v, v
 
+    def example_representation(self, inputs: np.ndarray) -> tuple[Tensor, Tensor]:
+        """Task representations of one example, each one vector."""
+        v = self.image_representation(inputs)
+        if v.data.ndim != 1:
+            raise ShapeError(f"expected one example, got input of shape {np.shape(inputs)}")
+        return self.representation(v)
+
     def class_logits(self, rep_cls: Tensor) -> Tensor:
         if self.classifier is None:
             raise ContractError(f"variant {self.variant.value} has no classifier head")
@@ -337,8 +344,7 @@ class ReviewerModel:
     def decoder(self, inputs: np.ndarray) -> "Decoder":
         if not self.variant.has_generator:
             raise ContractError(f"variant {self.variant.value} has no language head")
-        v = self.image_representation(inputs)
-        _, rep_gen = self.representation(v)
+        _, rep_gen = self.example_representation(inputs)
         x_img = self.gen_adapter(rep_gen) if self.gen_adapter is not None else rep_gen
         return Decoder(self, x_img.data)
 
@@ -351,30 +357,39 @@ class Decoder:
     ``initial_state`` is one row that already has the image step and the
     START token applied, so ``log_probs`` on it scores the first real caption
     token.
+
+    Layer 0's input projection of every vocabulary token, ``token_gates``
+    [V, 4H], is built once per decoder; each step gathers its rows instead of
+    multiplying the embedding rows again. The table reads the parameter
+    values as they are at construction, so a decoder is built per image and
+    never kept across parameter updates.
     """
 
     def __init__(self, model: ReviewerModel, image_input: np.ndarray):
         self._layers = [(c.w_input.data, c.w_hidden.data, c.bias.data, c.hidden_dim)
                         for c in model.cells]
-        self._embedding = model.embedding.table.data
+        w_input0 = self._layers[0][0]
+        self._token_gates = model.embedding.table.data @ w_input0.T
         self._out_w = model.out_proj.weight.data
         self._out_b = model.out_proj.bias.data
         self.vocab_size = self._out_w.shape[0]
         state = tuple((np.zeros((1, hd)), np.zeros((1, hd))) for *_, hd in self._layers)
-        state = self._step(state, image_input[None])
-        self.initial_state = self._step(state, self._embedding[[START_ID]])
+        state = self._step(state, image_input[None] @ w_input0.T)
+        self.initial_state = self._step(state, self._token_gates[[START_ID]])
 
-    def _step(self, state, x: np.ndarray):
+    def _step(self, state, gates: np.ndarray):
+        """``state`` stepped once on layer 0's projected input ``gates``
+        [k, 4H], a fresh array that is summed into in place."""
         new = []
         for (wi, wh, b, _), (h, c) in zip(self._layers, state):
+            if new:  # layers above 0 project the output of the layer below
+                gates = new[-1][0] @ wi.T
             # summed in place: two [k, 4H] arrays per layer instead of four,
             # the same sums in the same order
-            gates = x @ wi.T
             gates += h @ wh.T
             gates += b
             h, c, _ = lstm_cell(gates, c)
             new.append((h, c))
-            x = h
         return tuple(new)
 
     def advance(self, state, parents: np.ndarray, token_ids: np.ndarray):
@@ -382,7 +397,7 @@ class Decoder:
         for every j, as one state; a parent may repeat."""
         parents = np.asarray(parents)
         return self._step(tuple((h[parents], c[parents]) for h, c in state),
-                          self._embedding[np.asarray(token_ids)])
+                          self._token_gates[np.asarray(token_ids)])
 
     def log_probs(self, state) -> np.ndarray:
         """Next-token log probabilities [k, V] of every row of ``state``."""

@@ -6,11 +6,12 @@ import pytest
 from conftest import oracle_decoder, tiny_model, toy_generator
 from reviewnet import oracles
 from reviewnet.dataset import END_ID, START_ID, Label
-from reviewnet.errors import ConfigError, ContractError
+from reviewnet.errors import ConfigError, ContractError, ShapeError
 from reviewnet.inference import (beam_search, greedy_decode, predict_class,
                                  score_caption, strip_end)
 from reviewnet.model import Decoder
 from reviewnet.tensor import lstm_cell
+from reviewnet.trainer import Instance, TrainConfig, sgd_step
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +288,43 @@ def test_rescoring_agrees_with_graph_language_loss():
             continue
         loss = model.forward([features], captions=[caption]).language.item()
         assert abs(-loss - top.log_prob) <= 1e-10
+
+
+def _oracle_score(model, features, tokens):
+    dec, x_img = oracle_decoder(model, features)
+    state = dec.advance(dec.advance(dec.initial_state(), x_img), dec.embedding[START_ID])
+    total = 0.0
+    for tok in tokens:
+        total += float(dec.log_probs(state)[tok])
+        state = dec.advance(state, dec.embedding[tok])
+    return total
+
+
+def test_decoding_after_an_in_place_update_reads_the_new_parameters():
+    model = toy_generator(4, vocab_size=8, lstm_layers=2)
+    features = np.random.default_rng(9).normal(size=4)
+    before = beam_search(model, features, beam_size=4, max_len=4)
+    sgd_step(model, [Instance("img", features, 0, (4, 5, 6))],
+             TrainConfig(learning_rate=0.5, dropout_keep=1.0, epochs=1))
+    # the update moved the scores by far more than the tolerance below
+    assert abs(_oracle_score(model, features, before[0].tokens) - before[0].log_prob) > 1e-3
+    after = beam_search(model, features, beam_size=4, max_len=4)
+    for hyp in after:
+        assert abs(_oracle_score(model, features, hyp.tokens) - hyp.log_prob) <= 1e-9
+
+
+def test_score_caption_validates_token_ids():
+    model = toy_generator(2, vocab_size=6)
+    features = np.zeros(4)
+    for tokens in ([-1], [4, 6]):
+        with pytest.raises(IndexError, match=r"token id -?\d+ out of range \[0, 6\)"):
+            score_caption(model, features, tokens)
+    with pytest.raises(ContractError, match="integers"):
+        score_caption(model, features, [2.7])
+    with pytest.raises(ShapeError):
+        score_caption(model, features, [[4, 5]])
+    assert score_caption(model, features, np.array([4, END_ID])) == pytest.approx(
+        _oracle_score(model, features, [4, END_ID]), abs=1e-12)
 
 
 def test_strip_end():

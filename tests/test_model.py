@@ -5,6 +5,7 @@ from conftest import oracle_decoder, randomize_params, tiny_model
 from reviewnet import oracles
 from reviewnet.dataset import END_ID, START_ID
 from reviewnet.errors import ContractError, DataError, ShapeError
+from reviewnet.inference import beam_search, predict_class, score_caption
 from reviewnet.model import (CHECKPOINT_MAGIC, ModelConfig, ReviewerModel, Variant,
                              load_checkpoint, save_checkpoint)
 from reviewnet.tensor import Tensor, backward
@@ -276,6 +277,13 @@ def test_modality_guards(rng):
                                                          embed_dim=8, hidden_dim=8), seed=0)
     with pytest.raises(ShapeError, match=r"\(3, 32, 32\)"):
         mtb.image_representation(rng.normal(size=8))
+    # decoding and class prediction take one example, not a stacked batch
+    for model, batch, shape in ((frozen, np.ones((3, 8)), r"\(3, 8\)"),
+                                (mtb, rng.random((2, 3, 32, 32)), r"\(2, 3, 32, 32\)")):
+        for decode in (model.decoder, lambda x: predict_class(model, x),
+                       lambda x: beam_search(model, x), lambda x: score_caption(model, x, [4])):
+            with pytest.raises(ShapeError, match=shape):
+                decode(batch)
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +316,11 @@ def test_stacked_decoder_rows_match_oracle_per_state(rng):
         state = decoder.advance(state, parents, tokens)
         singles = [dec.advance(singles[p], dec.embedding[t]) for p, t in zip(parents, tokens)]
         assert_rows_match(state, singles)
+    # one round that gathers every row of the token-gate table, specials included
+    parents, tokens = rng.integers(0, k, size=vocab_size), np.arange(vocab_size)
+    state = decoder.advance(state, parents, tokens)
+    singles = [dec.advance(singles[p], dec.embedding[t]) for p, t in zip(parents, tokens)]
+    assert_rows_match(state, singles)
 
 
 # ---------------------------------------------------------------------------
