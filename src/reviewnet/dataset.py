@@ -200,6 +200,7 @@ LOW_TEMPLATES = (
 )
 
 COMMENTS_PER_IMAGE = 6
+FEATURE_NOISE = 1.0  # standard deviation of the per-image feature noise
 
 
 def _split_sizes(per_class: int) -> tuple[int, int, int]:
@@ -211,7 +212,7 @@ def _split_sizes(per_class: int) -> tuple[int, int, int]:
 
 
 def synth_dataset(seed: int, n_images: int, *, feature_dim: int = 16,
-                  feature_noise: float = 1.0, modality: str = "features",
+                  modality: str = "features",
                   templates: tuple[tuple[str, ...], tuple[str, ...]] | None = None,
                   rule: LabelRule = LabelRule()) -> ReviewDataset:
     """Deterministic class-balanced toy dataset.
@@ -253,7 +254,7 @@ def synth_dataset(seed: int, n_images: int, *, feature_dim: int = 16,
             comments=[template] * COMMENTS_PER_IMAGE,
         )
         if modality == "features":
-            ex.features = sign + rng.normal(0.0, feature_noise, size=feature_dim)
+            ex.features = sign + rng.normal(0.0, FEATURE_NOISE, size=feature_dim)
         else:
             base = 0.3 if label is Label.LOW else 0.7
             ex.image = np.clip(base + rng.normal(0.0, 0.08, size=IMAGE_SHAPE), 0.0, 1.0)
@@ -360,10 +361,14 @@ def load_dataset(data_dir: str | Path, rule: LabelRule = LabelRule()) -> ReviewD
                 score=float(obj["score"]),
                 label=label,
                 split=str(obj["split"]),
-                comments=[str(c) for c in obj["comments"]],
+                comments=obj["comments"],
             )
         except (KeyError, TypeError) as exc:
             raise DataError(f"{manifest}:{lineno + 1}: missing or malformed field ({exc})") from None
+        if not (isinstance(ex.comments, list) and ex.comments
+                and all(isinstance(c, str) for c in ex.comments)):
+            raise DataError(f"{manifest}:{lineno + 1}: comments must be a non-empty list of "
+                            f"strings, got {ex.comments!r}")
         if ex.example_id in seen_ids:
             raise DataError(f"{manifest}:{lineno + 1}: duplicate example id {ex.example_id!r}")
         seen_ids.add(ex.example_id)

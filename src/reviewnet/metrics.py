@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .errors import ConfigError, ContractError
@@ -264,17 +264,7 @@ class MetricReport:
     meteor_lite: float | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "overall_accuracy": self.overall_accuracy,
-            "bleu_1": self.bleu_1,
-            "bleu_2": self.bleu_2,
-            "bleu_3": self.bleu_3,
-            "bleu_4": self.bleu_4,
-            "rouge_l": self.rouge_l,
-            "cider": self.cider,
-            "meteor_lite": self.meteor_lite,
-        }
+        return {"schema": 1, **asdict(self)}
 
 
 _TABLE_COLUMNS = [

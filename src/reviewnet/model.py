@@ -87,7 +87,9 @@ def _resolve_config(variant: Variant, config: ModelConfig) -> ModelConfig:
         if specific is None:
             specific = 256
     resolved = replace(config, shared_dim=shared, specific_dim=specific)
-    for name in ("feature_dim", "embed_dim", "hidden_dim", "lstm_layers"):
+    used = {Variant.MODEL_I: ("shared_dim",),
+            Variant.MODEL_II: ("shared_dim", "specific_dim")}.get(variant, ())
+    for name in ("feature_dim", "embed_dim", "hidden_dim", "lstm_layers", *used):
         if getattr(resolved, name) < 1:
             raise ConfigError(f"{name} must be positive, got {getattr(resolved, name)}")
     if variant.has_generator and resolved.vocab_size < 4:
@@ -156,25 +158,17 @@ class ReviewerModel:
             if rep_gen_dim != cfg.embed_dim:
                 self.gen_adapter = Dense(cfg.embed_dim, rep_gen_dim, rng=rng)
 
+        # registration order is the order of the clip norm's sum and of the
+        # gradient check's coordinate draws
+        layers = [("encoder", self.encoder), ("shared", self.shared),
+                  ("cls_specific", self.cls_specific), ("gen_specific", self.gen_specific),
+                  ("classifier", self.classifier), ("embedding", self.embedding),
+                  *((f"lstm{k}", cell) for k, cell in enumerate(self.cells)),
+                  ("out_proj", self.out_proj), ("gen_adapter", self.gen_adapter)]
         self.params: dict[str, Tensor] = {}
-        if self.encoder is not None:
-            self.params.update(self.encoder.named_params("encoder"))
-        if self.shared is not None:
-            self.params.update(self.shared.named_params("shared"))
-        if self.cls_specific is not None:
-            self.params.update(self.cls_specific.named_params("cls_specific"))
-        if self.gen_specific is not None:
-            self.params.update(self.gen_specific.named_params("gen_specific"))
-        if self.classifier is not None:
-            self.params.update(self.classifier.named_params("classifier"))
-        if self.embedding is not None:
-            self.params.update(self.embedding.named_params("embedding"))
-        for k, cell in enumerate(self.cells):
-            self.params.update(cell.named_params(f"lstm{k}"))
-        if self.out_proj is not None:
-            self.params.update(self.out_proj.named_params("out_proj"))
-        if self.gen_adapter is not None:
-            self.params.update(self.gen_adapter.named_params("gen_adapter"))
+        for prefix, layer in layers:
+            if layer is not None:
+                self.params.update(layer.named_params(prefix))
 
     def _rep_dims(self) -> tuple[int, int]:
         cfg = self.config
@@ -229,22 +223,25 @@ class ReviewerModel:
         """Keep-masks [B, T, width] of the decoder's non-recurrent connections:
         the cell inputs, each handoff between stacked cells, and the output.
 
-        Each row draws its masks with one ``rng.random`` call, in the order of
-        the step-by-step recurrence: at the image step the input, then the
-        handoffs; at every later step the input, the handoffs, then the output
-        (the image step predicts nothing, so it has no output dropout).
+        One ``rng.random`` call fills the batch in the order of the
+        step-by-step recurrence: row by row, and within a row at the image
+        step the input, then the handoffs; at every later step the input, the
+        handoffs, then the output (the image step predicts nothing, so it has
+        no output dropout). Padding steps draw nothing and keep everything.
         """
         widths = [self.config.embed_dim] + [self.config.hidden_dim] * len(self.cells)
         offsets = np.cumsum([0] + widths)
-        masks = [np.ones((len(steps), int(steps.max()), w), dtype=bool) for w in widths]
-        for b, n in enumerate(steps):
-            keeps = rng.random(offsets[-2] + (n - 1) * offsets[-1]) < keep
-            later = keeps[offsets[-2]:].reshape(n - 1, offsets[-1])
-            for k, mask in enumerate(masks):
-                if k + 1 < len(masks):
-                    mask[b, 0] = keeps[offsets[k]:offsets[k + 1]]
-                mask[b, 1:n] = later[:, offsets[k]:offsets[k + 1]]
-        return masks
+        live = np.arange(int(steps.max())) < steps[:, None]
+        drawn = np.repeat(live[..., None], offsets[-1], axis=2)
+        drawn[:, 0, offsets[-2]:] = False
+        keeps = np.ones(drawn.shape, dtype=bool)
+        keeps[drawn] = rng.random(np.count_nonzero(drawn)) < keep
+        return [keeps[..., a:b] for a, b in zip(offsets[:-1], offsets[1:])]
+
+    def _image_input(self, rep_gen: Tensor) -> Tensor:
+        """The decoder's input at the image step: ``rep_gen`` through the
+        adapter when the widths differ."""
+        return self.gen_adapter(rep_gen) if self.gen_adapter is not None else rep_gen
 
     def _language(self, rep_gen: Tensor, captions: Sequence[Sequence[int]], keep: float,
                   rng: np.random.Generator | None) -> tuple[Tensor, Tensor]:
@@ -267,8 +264,8 @@ class ReviewerModel:
             targets[b, 1:len(caption) + 2] = caption + [END_ID]
         scored = (np.arange(width) >= 1) & (np.arange(width) < steps[:, None])
 
-        x_img = self.gen_adapter(rep_gen) if self.gen_adapter is not None else rep_gen
-        h = concat([reshape(x_img, (n, 1, -1)), self.embedding(tokens)], axis=1)
+        h = concat([reshape(self._image_input(rep_gen), (n, 1, -1)), self.embedding(tokens)],
+                   axis=1)
         # dropout on the non-recurrent connections only: cell inputs, the
         # handoff between stacked cells and the output; h->h / c->c stay intact
         masks = None
@@ -345,8 +342,7 @@ class ReviewerModel:
         if not self.variant.has_generator:
             raise ContractError(f"variant {self.variant.value} has no language head")
         _, rep_gen = self.example_representation(inputs)
-        x_img = self.gen_adapter(rep_gen) if self.gen_adapter is not None else rep_gen
-        return Decoder(self, x_img.data)
+        return Decoder(self, self._image_input(rep_gen).data)
 
 
 class Decoder:

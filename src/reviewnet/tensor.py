@@ -335,27 +335,26 @@ def embedding_lookup(table: Tensor, token_id) -> Tensor:
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """``weight @ x + bias`` on a vector, or ``x @ weight.T + bias`` on rows
-    [..., in] as one GEMM over all rows."""
+    """``x @ weight.T + bias`` on rows [..., in], as one GEMM over all rows;
+    a vector is one row and gives a vector."""
     xd, wd = x.data, weight.data
     if wd.ndim != 2 or xd.ndim < 1 or xd.shape[-1] != wd.shape[1]:
         raise ShapeError(f"linear: input {xd.shape} does not fit weight {wd.shape}")
     if bias is not None and bias.data.shape != (wd.shape[0],):
         raise ShapeError(f"linear: bias {bias.data.shape} does not fit weight {wd.shape}")
     rows = xd.reshape(-1, wd.shape[1])
-    # a vector keeps the matvec order that decoding and class prediction use
-    out = wd @ xd if xd.ndim == 1 else (rows @ wd.T).reshape(xd.shape[:-1] + (wd.shape[0],))
+    out = (rows @ wd.T).reshape(xd.shape[:-1] + (wd.shape[0],))
     if bias is not None:
         out = out + bias.data
 
     def grad_fn(g: np.ndarray) -> None:
         g_rows = g.reshape(-1, wd.shape[0])
         if weight.requires_grad:
-            weight.grad += g[:, None] * xd if xd.ndim == 1 else g_rows.T @ rows
+            weight.grad += g_rows.T @ rows
         if bias is not None and bias.requires_grad:
-            bias.grad += g if xd.ndim == 1 else g_rows.sum(axis=0)
+            bias.grad += g_rows.sum(axis=0)
         if x.requires_grad:
-            x.grad += wd.T @ g if xd.ndim == 1 else (g_rows @ wd).reshape(xd.shape)
+            x.grad += (g_rows @ wd).reshape(xd.shape)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _track(out, parents, grad_fn)
@@ -470,12 +469,11 @@ def lstm_sequence(x: Tensor, h0: Tensor | None, c0: Tensor | None, w_input: Tens
     return h_out, c_out
 
 
-def dropout(x: Tensor, keep: float, *, rng: np.random.Generator | None = None,
-            mask: np.ndarray | None = None) -> Tensor:
-    """Inverted dropout: surviving entries are rescaled by 1/keep.
+def dropout(x: Tensor, keep: float, *, mask: np.ndarray | None = None) -> Tensor:
+    """Inverted dropout through a boolean keep-``mask`` of ``x``'s shape:
+    surviving entries are rescaled by 1/keep.
 
-    ``keep == 1`` returns ``x`` unchanged. Otherwise pass a seeded ``rng`` or
-    an explicit boolean keep-``mask``.
+    ``keep == 1`` returns ``x`` unchanged and needs no mask.
     """
     keep = float(keep)
     if not 0.0 < keep <= 1.0:
@@ -483,13 +481,10 @@ def dropout(x: Tensor, keep: float, *, rng: np.random.Generator | None = None,
     if keep == 1.0:
         return x
     if mask is None:
-        if rng is None:
-            raise ContractError("dropout below keep=1 needs an rng or an explicit mask")
-        mask = rng.random(x.data.shape) < keep
-    else:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != x.data.shape:
-            raise ShapeError(f"dropout mask shape {mask.shape} does not match input {x.data.shape}")
+        raise ContractError("dropout below keep=1 needs an explicit mask")
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != x.data.shape:
+        raise ShapeError(f"dropout mask shape {mask.shape} does not match input {x.data.shape}")
     scaled = mask.astype(np.float64) / keep
 
     def grad_fn(g: np.ndarray) -> None:

@@ -59,16 +59,20 @@ def _cell_step(cell, h, c, x):
     return mul(o, _tanh(c)), c
 
 
+def _dropout(x, keep, rng):
+    return dropout(x, keep, mask=rng.random(x.data.shape) < keep)
+
+
 def _run_cells(model, state, x, keep, rng):
     if keep < 1.0:
-        x = dropout(x, keep, rng=rng)
+        x = _dropout(x, keep, rng)
     new_state = []
     for k, (cell, (h, c)) in enumerate(zip(model.cells, state)):
         h, c = _cell_step(cell, h, c, x)
         new_state.append((h, c))
         x = h
         if keep < 1.0 and k + 1 < len(model.cells):
-            x = dropout(x, keep, rng=rng)
+            x = _dropout(x, keep, rng)
     return new_state
 
 
@@ -81,7 +85,7 @@ def _reference_language(model, rep_gen, caption, keep, rng):
         state = _run_cells(model, state, model.embedding(inp), keep, rng)
         h = state[-1][0]
         if keep < 1.0:
-            h = dropout(h, keep, rng=rng)
+            h = _dropout(h, keep, rng)
         term = cross_entropy(model.out_proj(h), target)
         loss = term if loss is None else add(loss, term)
     return loss

@@ -151,6 +151,12 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert run("train", "--data", data, "--variant", "model1", "--epochs", 1,
                    "--out", ckpt, flag, value, *TRAIN_FLAGS) == 2
         assert not ckpt.exists()
+    # a layer width below 1 of a layer the variant has
+    for variant, flag, value in (("model1", "--shared-dim", 0), ("model1", "--shared-dim", -3),
+                                 ("model2", "--shared-dim", 0), ("model2", "--specific-dim", 0)):
+        assert run("train", "--data", data, "--variant", variant, "--epochs", 1,
+                   "--out", ckpt, *TRAIN_FLAGS, flag, value) == 2
+        assert not ckpt.exists()
 
 
 def test_missing_data_exits_3(tmp_path, capsys):
@@ -163,6 +169,21 @@ def test_missing_data_exits_3(tmp_path, capsys):
     (empty / "features.bin").write_bytes(FEATURES_MAGIC + struct.pack("<II", 0, 16))
     assert run("train", "--data", empty, "--variant", "iac", "--epochs", 1,
                "--out", tmp_path / "i.ckpt", *TRAIN_FLAGS) == 3
+
+
+def test_train_on_string_comments_exits_3(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert run("synth-data", "--seed", 3, "--n-images", 12, "--out", data) == 0
+    manifest = data / "manifest.jsonl"
+    lines = manifest.read_text().splitlines()
+    obj = json.loads(lines[0])
+    obj["comments"] = obj["comments"][0]  # one string, not a list of them
+    lines[0] = json.dumps(obj)
+    manifest.write_text("\n".join(lines) + "\n")
+    assert run("train", "--data", data, "--variant", "iac", "--epochs", 1,
+               "--out", tmp_path / "i.ckpt", *TRAIN_FLAGS) == 3
+    assert "manifest.jsonl:1: comments" in capsys.readouterr().err
+    assert not (tmp_path / "i.ckpt").exists()
 
 
 def test_caption_train_without_vocab_exits_3(tmp_path, capsys):

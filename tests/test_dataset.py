@@ -295,6 +295,20 @@ def test_load_rejects_non_finite_payload(tmp_path, modality):
         load_dataset(tmp_path)
 
 
+@pytest.mark.parametrize("comments", ["great colors and sharp focus .", [], 7, [7]],
+                         ids=["string", "empty", "number", "number-in-list"])
+def test_load_rejects_malformed_comments(tmp_path, comments):
+    save_dataset(synth_dataset(2, 4), tmp_path)
+    manifest = tmp_path / "manifest.jsonl"
+    lines = manifest.read_text().splitlines()
+    obj = json.loads(lines[1])
+    obj["comments"] = comments
+    lines[1] = json.dumps(obj)
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=r"manifest\.jsonl:2: "):
+        load_dataset(tmp_path)
+
+
 def test_load_rejects_missing_payload(tmp_path):
     ds = synth_dataset(2, 4)
     save_dataset(ds, tmp_path)
