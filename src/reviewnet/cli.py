@@ -23,8 +23,8 @@ from .inference import beam_search, predict_class, strip_end
 from .metrics import EvalPair, MetricReport, overall_accuracy, report_table, score_corpus
 from .model import ModelConfig, ReviewerModel, Variant, load_checkpoint, save_checkpoint
 from .tensor import (Tensor, add, backward, concat, conv2d, cross_entropy, dropout,
-                     embedding_lookup, linear, lstm_sequence, matmul, max_pool2, mul, relu,
-                     reshape, scale, softmax, sum_all)
+                     embedding_lookup, linear, linear_cross_entropy, lstm_sequence, matmul,
+                     max_pool2, mul, relu, reshape, scale, softmax, sum_all)
 from .trainer import (Instance, TrainConfig, batch_loss, instance_loss, train,
                       tune_alpha_beta, write_metrics_csv)
 
@@ -131,8 +131,9 @@ def _primitive_cases(rng: np.random.Generator):
     mask = rng.random(5) < 0.7
     q, rows, lin_w, lin_b = param(4), param(2, 3, 4), param(5, 4), param(5)
     r_lin = rng.normal(size=(2, 3, 5))
-    ce_rows = param(3, 4, 5)
+    rows_ce = param(3, 4, 4)
     ce_targets, ce_mask = rng.integers(0, 5, size=(3, 4)), rng.random((3, 4)) < 0.6
+    ce_mask[1] = False  # a row with no scored step
     rows_b, r_cat = param(2, 2, 4), rng.normal(size=(2, 5, 4))
     # a ragged batch of three rows (lengths 4, 1, 3) from a tracked state
     seq_x, seq_h0, seq_c0 = param(3, 4, 2), param(3, 3), param(3, 3)
@@ -153,8 +154,8 @@ def _primitive_cases(rng: np.random.Generator):
         ("relu", [u], lambda: sum_all(relu(u))),
         ("softmax", [v], lambda: reduce(softmax(v), r5)),
         ("cross_entropy", [v], lambda: cross_entropy(v, 2)),
-        ("cross_entropy rows", [ce_rows],
-         lambda: cross_entropy(ce_rows, ce_targets, ce_mask)),
+        ("linear_cross_entropy", [rows_ce, lin_w, lin_b],
+         lambda: linear_cross_entropy(rows_ce, lin_w, lin_b, ce_targets, ce_mask)),
         ("add", [v, w], lambda: reduce(add(v, w), r5b)),
         ("mul", [v, w], lambda: sum_all(mul(v, w))),
         ("scale", [v], lambda: reduce(scale(v, -1.5), r5b)),

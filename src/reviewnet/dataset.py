@@ -363,7 +363,7 @@ def load_dataset(data_dir: str | Path, rule: LabelRule = LabelRule()) -> ReviewD
                 split=str(obj["split"]),
                 comments=obj["comments"],
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{manifest}:{lineno + 1}: missing or malformed field ({exc})") from None
         if not (isinstance(ex.comments, list) and ex.comments
                 and all(isinstance(c, str) for c in ex.comments)):
@@ -374,7 +374,11 @@ def load_dataset(data_dir: str | Path, rule: LabelRule = LabelRule()) -> ReviewD
         seen_ids.add(ex.example_id)
         if ex.split not in SPLITS:
             raise DataError(f"{manifest}:{lineno + 1}: unknown split {ex.split!r}")
-        if label_from_score(ex.score, rule) is not ex.label:
+        try:
+            expected = label_from_score(ex.score, rule)
+        except ValueError as exc:
+            raise DataError(f"{manifest}:{lineno + 1}: {exc}") from None
+        if expected is not ex.label:
             raise DataError(
                 f"{manifest}:{lineno + 1}: label {ex.label.name} inconsistent with score {ex.score}")
         examples.append(ex)

@@ -1,11 +1,11 @@
 """Model variants for joint aesthetic classification and comment generation.
 
 A model is a named collection of trainable tensors plus the forward rules
-turning an image representation into class logits, per-step token logits and
-task losses. The image representation enters the caption decoder exactly
-once, as the input at the step before the START token, and that step
-contributes no loss term. ``ReviewerModel.forward`` computes them for a batch
-at once; one example is a batch of one.
+turning an image representation into class logits and task losses. The
+image representation enters the caption decoder exactly once, as the input at
+the step before the START token, and that step contributes no loss term.
+``ReviewerModel.forward`` computes them for a batch at once; one example is a
+batch of one.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ import numpy as np
 from .dataset import END_ID, PAD_ID, START_ID, write_atomic
 from .errors import ConfigError, ContractError, DataError, ShapeError
 from .layers import Dense, EmbeddingTable, LSTMCell, TinyConvEncoder
-from .tensor import (Tensor, add, concat, cross_entropy, dropout, lstm_cell, reshape,
-                     scale)
+from .tensor import (Tensor, add, concat, cross_entropy, dropout, linear_cross_entropy,
+                     lstm_cell, reshape, scale)
 
 CHECKPOINT_MAGIC = b"NAIRCKPT1"
 
@@ -104,12 +104,9 @@ class ForwardOutput:
     ``aesthetics`` and ``language`` are summed over the batch. ``loss`` is the
     training objective: the batch mean of ``alpha * aesthetics + beta *
     language`` for multi-task variants, of the one task loss otherwise.
-    ``token_logits`` [B, T, V] hold the image step at t = 0 and padding after
-    each caption's END prediction.
     """
 
     class_logits: Tensor | None
-    token_logits: Tensor | None
     aesthetics: Tensor | None
     language: Tensor | None
     loss: Tensor | None
@@ -244,12 +241,12 @@ class ReviewerModel:
         return self.gen_adapter(rep_gen) if self.gen_adapter is not None else rep_gen
 
     def _language(self, rep_gen: Tensor, captions: Sequence[Sequence[int]], keep: float,
-                  rng: np.random.Generator | None) -> tuple[Tensor, Tensor]:
+                  rng: np.random.Generator | None) -> Tensor:
         """Teacher-forced decode of rows ``rep_gen`` [B, D]: the image step,
         START, then the caption tokens, padded to the longest caption.
 
         Returns the summed cross-entropy of predicting every caption token and
-        each terminating END, and the token logits [B, T, V].
+        each terminating END.
         """
         captions = [[int(t) for t in caption] for caption in captions]
         if not all(captions):
@@ -279,8 +276,8 @@ class ReviewerModel:
             h = cell.sequence(h, steps)
         if masks is not None:
             h = dropout(h, keep, mask=masks[-1])
-        logits = self.out_proj(h)
-        return cross_entropy(logits, targets, scored), logits
+        return linear_cross_entropy(h, self.out_proj.weight, self.out_proj.bias, targets,
+                                    scored)
 
     def forward(self, inputs: Sequence[np.ndarray], labels: Sequence[int] | None = None,
                 captions: Sequence[Sequence[int]] | None = None, *, alpha: float = 1.0,
@@ -300,19 +297,19 @@ class ReviewerModel:
         n = len(inputs)
         v = self.image_representation(np.stack(inputs))
         rep_cls, rep_gen = self.representation(v)
-        class_logits = token_logits = aesthetics = language = loss = None
+        class_logits = aesthetics = language = loss = None
         if self.variant.has_classifier:
             class_logits = self.class_logits(rep_cls)
             if labels is not None:
                 aesthetics = cross_entropy(class_logits, np.asarray(labels, dtype=np.int64))
         if self.variant.has_generator and captions is not None:
-            language, token_logits = self._language(rep_gen, captions, dropout_keep, rng)
+            language = self._language(rep_gen, captions, dropout_keep, rng)
         if self.variant.multi_task:
             if aesthetics is not None and language is not None:
                 loss = add(scale(aesthetics, alpha / n), scale(language, beta / n))
         elif aesthetics is not None or language is not None:
             loss = scale(aesthetics if aesthetics is not None else language, 1.0 / n)
-        return ForwardOutput(class_logits, token_logits, aesthetics, language, loss)
+        return ForwardOutput(class_logits, aesthetics, language, loss)
 
     # -- parameters ----------------------------------------------------------
 

@@ -27,6 +27,7 @@ __all__ = [
     "dropout",
     "embedding_lookup",
     "linear",
+    "linear_cross_entropy",
     "lstm_cell",
     "lstm_sequence",
     "matmul",
@@ -242,13 +243,11 @@ def _int_indices(values, bound: int, what: str) -> np.ndarray:
     return idx
 
 
-def cross_entropy(logits: Tensor, target, mask: np.ndarray | None = None) -> Tensor:
+def cross_entropy(logits: Tensor, target) -> Tensor:
     """Summed -log softmax(row)[target] over the rows of ``logits``.
 
     ``logits`` is one logit vector or rows [..., classes]; ``target`` is an int
-    or an int array over the rows. ``mask``, a boolean array over the rows,
-    selects the rows that count (padding positions pass no gradient).
-    Computed through log-sum-exp.
+    or an int array over the rows. Computed through log-sum-exp.
     """
     ld = logits.data
     if ld.ndim < 1 or ld.shape[-1] == 0:
@@ -257,25 +256,17 @@ def cross_entropy(logits: Tensor, target, mask: np.ndarray | None = None) -> Ten
     t = _int_indices(target, n, "target")
     if t.shape != ld.shape[:-1]:
         raise ShapeError(f"cross_entropy: targets of shape {t.shape} for logits {ld.shape}")
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != t.shape:
-            raise ShapeError(f"cross_entropy: mask of shape {mask.shape} for targets {t.shape}")
     z = ld - ld.max(axis=-1, keepdims=True)
     e = np.exp(z)
     se = e.sum(axis=-1, keepdims=True)
     probs = e / se
     rows = np.log(se[..., 0]) - np.take_along_axis(z, t[..., None], axis=-1)[..., 0]
-    if mask is not None:
-        rows = np.where(mask, rows, 0.0)
 
     def grad_fn(g: np.ndarray) -> None:
         if logits.requires_grad:
             d = probs.copy()
             flat = d.reshape(-1, n)
             flat[np.arange(flat.shape[0]), t.reshape(-1)] -= 1.0
-            if mask is not None:
-                d *= mask[..., None]
             logits.grad += float(g) * d
 
     return _track(np.asarray(rows.sum()), (logits,), grad_fn)
@@ -358,6 +349,54 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _track(out, parents, grad_fn)
+
+
+def linear_cross_entropy(h: Tensor, weight: Tensor, bias: Tensor, target,
+                         mask: np.ndarray) -> Tensor:
+    """``cross_entropy(linear(h, weight, bias), target)`` over the rows of ``h``
+    [..., in] that ``mask`` selects, as one node: the summed loss.
+
+    ``target`` and the boolean ``mask`` have ``h``'s leading shape; unselected
+    rows pass no gradient. The logits of all rows are one GEMM into a buffer
+    that is turned into the softmax in place and kept for the backward, which
+    turns it into the logit gradient in place, so a graph holding this node is
+    differentiated once.
+    """
+    hd, wd, bd = h.data, weight.data, bias.data
+    if wd.ndim != 2 or hd.ndim < 1 or hd.shape[-1] != wd.shape[1] or wd.shape[0] == 0:
+        raise ShapeError(f"linear_cross_entropy: input {hd.shape} does not fit weight {wd.shape}")
+    if bd.shape != (wd.shape[0],):
+        raise ShapeError(f"linear_cross_entropy: bias {bd.shape} does not fit weight {wd.shape}")
+    t = _int_indices(target, wd.shape[0], "target")
+    mask = np.asarray(mask, dtype=bool)
+    if t.shape != hd.shape[:-1] or mask.shape != t.shape:
+        raise ShapeError(f"linear_cross_entropy: targets {t.shape} and mask {mask.shape} "
+                         f"for inputs {hd.shape}")
+    rows = hd.reshape(-1, wd.shape[1])
+    picks = (np.arange(rows.shape[0]), t.reshape(-1))
+    # z turns from logits into shifted logits, exponentials, then probabilities
+    z = rows @ wd.T
+    z += bd
+    z -= z.max(axis=1, keepdims=True)
+    picked = z[picks]
+    np.exp(z, out=z)
+    se = z.sum(axis=1, keepdims=True)
+    z /= se
+    losses = (np.log(se[:, 0]) - picked).reshape(t.shape)
+
+    def grad_fn(g: np.ndarray) -> None:
+        d = z  # the probabilities become the logit gradient in place
+        d[picks] -= 1.0
+        d *= mask.reshape(-1, 1)
+        d *= float(g)
+        if weight.requires_grad:
+            weight.grad += d.T @ rows
+        if bias.requires_grad:
+            bias.grad += d.sum(axis=0)
+        if h.requires_grad:
+            h.grad += (d @ wd).reshape(hd.shape)
+
+    return _track(np.asarray(np.where(mask, losses, 0.0).sum()), (h, weight, bias), grad_fn)
 
 
 def lstm_cell(gates: np.ndarray, c: np.ndarray):

@@ -295,18 +295,30 @@ def test_load_rejects_non_finite_payload(tmp_path, modality):
         load_dataset(tmp_path)
 
 
-@pytest.mark.parametrize("comments", ["great colors and sharp focus .", [], 7, [7]],
-                         ids=["string", "empty", "number", "number-in-list"])
-def test_load_rejects_malformed_comments(tmp_path, comments):
+def _assert_line_2_rejected(tmp_path, field, value):
+    """Saves a small dataset, sets ``field`` of its second manifest line to
+    ``value`` and checks that loading names that line."""
     save_dataset(synth_dataset(2, 4), tmp_path)
     manifest = tmp_path / "manifest.jsonl"
     lines = manifest.read_text().splitlines()
     obj = json.loads(lines[1])
-    obj["comments"] = comments
+    obj[field] = value
     lines[1] = json.dumps(obj)
     manifest.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataError, match=r"manifest\.jsonl:2: "):
         load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("comments", ["great colors and sharp focus .", [], 7, [7]],
+                         ids=["string", "empty", "number", "number-in-list"])
+def test_load_rejects_malformed_comments(tmp_path, comments):
+    _assert_line_2_rejected(tmp_path, "comments", comments)
+
+
+@pytest.mark.parametrize("score", [11.0, "abc", float("nan")],
+                         ids=["out-of-range", "text", "nan"])
+def test_load_rejects_bad_score(tmp_path, score):
+    _assert_line_2_rejected(tmp_path, "score", score)
 
 
 def test_load_rejects_missing_payload(tmp_path):

@@ -8,7 +8,7 @@ from reviewnet.errors import ContractError, DataError, ShapeError
 from reviewnet.inference import beam_search, predict_class, score_caption
 from reviewnet.model import (CHECKPOINT_MAGIC, ModelConfig, ReviewerModel, Variant,
                              load_checkpoint, save_checkpoint)
-from reviewnet.tensor import Tensor, backward
+from reviewnet.tensor import Tensor, backward, topo_order
 
 
 # ---------------------------------------------------------------------------
@@ -111,17 +111,26 @@ def test_language_loss_uniform_projection_is_length_times_log_vocab(rng):
     assert loss == pytest.approx((len(caption) + 1) * np.log(12.0), abs=1e-9)
 
 
+def _step_log_probs(model, features, caption):
+    """Next-token log-probabilities [len(caption) + 1, V] of the decoder fed
+    the image, START and then each caption token."""
+    dec = model.decoder(features)
+    state, rows = dec.initial_state, []
+    for token in caption:
+        rows.append(dec.log_probs(state)[0])
+        state = dec.advance(state, [0], [token])
+    rows.append(dec.log_probs(state)[0])
+    return np.array(rows)
+
+
 def test_language_loss_single_token_decomposition(rng):
     model = tiny_model("v2l", seed=3)
-    out = model.forward([rng.normal(size=8)], captions=[[5]])
-    step_logits = out.token_logits.data[0, 1:]
-    assert len(step_logits) == 2  # predicts w_1 then END
+    features = rng.normal(size=8)
+    out = model.forward([features], captions=[[5]])
+    step_log_probs = _step_log_probs(model, features, [5])
+    assert len(step_log_probs) == 2  # predicts w_1 then END
 
-    def ce(logits, target):
-        z = logits - logits.max()
-        return float(np.log(np.exp(z).sum()) - z[target])
-
-    want = ce(step_logits[0], 5) + ce(step_logits[1], END_ID)
+    want = -(step_log_probs[0, 5] + step_log_probs[1, END_ID])
     assert out.language.item() == pytest.approx(want, abs=1e-12)
 
 
@@ -150,8 +159,27 @@ def test_language_loss_rejects_empty_caption(rng):
 
 def test_step_logit_count_is_caption_length_plus_one(rng):
     model = tiny_model("model1")
-    out = model.forward([rng.normal(size=8)], [0], [[4, 5, 6]])
-    assert len(out.token_logits.data[0, 1:]) == 4
+    features = rng.normal(size=8)
+    caption = [4, 5, 6]
+    out = model.forward([features], [0], [caption])
+    step_log_probs = _step_log_probs(model, features, caption)
+    assert len(step_log_probs) == 4
+    # the loss has exactly one term per step: each caption token, then END
+    want = -step_log_probs[np.arange(4), caption + [END_ID]].sum()
+    assert out.language.item() == pytest.approx(want, abs=1e-12)
+
+
+def test_training_graph_holds_no_token_logit_block(rng):
+    # the output projection and the token loss are one node, so no [B, T, V]
+    # logit (or gradient) block is kept on the tape
+    model = tiny_model("model1", vocab_size=50)
+    captions = [[4, 5, 6, 7], [8], [9, 10, 11]]
+    batch = 3, max(map(len, captions)) + 2, 50
+    out = model.forward([rng.normal(size=8) for _ in captions], [0, 1, 0], captions)
+    params = {id(p) for p in model.params.values()}
+    shapes = [node.data.shape for node in topo_order(out.loss) if id(node) not in params]
+    assert batch not in shapes
+    assert (batch[0] * batch[1], batch[2]) not in shapes
 
 
 def test_joint_loss_reduces_to_single_tasks(rng):

@@ -8,8 +8,8 @@ from reviewnet import oracles
 from reviewnet.errors import ConfigError, ContractError, NumericError, ShapeError
 from reviewnet.tensor import (Tensor, add, backward, concat, conv2d,
                               cross_entropy, dropout, embedding_lookup, linear,
-                              matmul, max_pool2, mul, relu, reshape, scale, softmax,
-                              stable_sigmoid, sum_all, topo_order)
+                              linear_cross_entropy, matmul, max_pool2, mul, relu, reshape,
+                              scale, softmax, stable_sigmoid, sum_all, topo_order)
 
 finite_floats = st.floats(min_value=-30, max_value=30, allow_nan=False, allow_infinity=False)
 
@@ -193,6 +193,37 @@ def test_cross_entropy_target_out_of_range():
         cross_entropy(Tensor([0.0, 0.0]), 2)
     with pytest.raises(IndexError):
         cross_entropy(Tensor([0.0, 0.0]), -1)
+
+
+@pytest.mark.parametrize("vocab", [5, 923])
+def test_linear_cross_entropy_matches_linear_then_cross_entropy(vocab):
+    rng = np.random.default_rng(vocab)
+    h_data, w_data, b_data = (rng.normal(size=s) for s in [(4, 6, 8), (vocab, 8), vocab])
+    target = rng.integers(0, vocab, size=(4, 6))
+    # ragged rows scored from step 1; the third row has no scored step
+    mask = (np.arange(6) >= 1) & (np.arange(6) < np.array([6, 3, 0, 2])[:, None])
+    h, w, b = (Tensor(a, requires_grad=True) for a in (h_data, w_data, b_data))
+    fused = linear_cross_entropy(h, w, b, target, mask)
+    got = [fused.item(), *grad_of(fused, h, w, b)]
+
+    h_ref, w_ref, b_ref = (Tensor(a, requires_grad=True) for a in (h_data[mask], w_data, b_data))
+    ref = cross_entropy(linear(h_ref, w_ref, b_ref), target[mask])
+    gh_rows, gw, gb = grad_of(ref, h_ref, w_ref, b_ref)
+    gh = np.zeros_like(h_data)
+    gh[mask] = gh_rows
+    for have, want in zip(got, [ref.item(), gh, gw, gb]):
+        assert np.max(np.abs(np.asarray(have) - want)) <= 1e-12
+
+
+def test_linear_cross_entropy_shape_contracts():
+    h, w, b = Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((5, 4))), Tensor(np.zeros(5))
+    target, mask = np.zeros((2, 3), dtype=int), np.ones((2, 3), dtype=bool)
+    with pytest.raises(ShapeError):
+        linear_cross_entropy(h, w, b, target, mask[:, :2])
+    with pytest.raises(ShapeError):
+        linear_cross_entropy(h, w, Tensor(np.zeros(4)), target, mask)
+    with pytest.raises(IndexError):
+        linear_cross_entropy(h, w, b, target + 5, mask)
 
 
 # ---------------------------------------------------------------------------
