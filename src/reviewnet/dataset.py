@@ -49,16 +49,20 @@ def write_atomic(path: str | Path, data: bytes) -> None:
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
-    fh = open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb")
     try:
-        with fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        fh = open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb")
+        try:
+            with fh:
+                fh.write(data)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        # the same error class, naming the caller's path instead of the temporary file
+        raise type(exc)(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 class Label(IntEnum):
@@ -223,8 +227,12 @@ def synth_dataset(seed: int, n_images: int, *, feature_dim: int = 16,
     image carries six identical comments drawn round-robin from its class
     template list, and splits are roughly 80/10/10 per class.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if n_images < 2 or n_images % 2:
         raise ConfigError(f"n_images must be an even number >= 2, got {n_images}")
+    if feature_dim < 1:
+        raise ConfigError(f"feature_dim must be >= 1, got {feature_dim}")
     if modality not in ("features", "images"):
         raise ConfigError(f"modality must be 'features' or 'images', got {modality!r}")
     if rule.pivot - rule.delta - 0.1 <= 2.0 or rule.pivot + rule.delta + 0.1 >= 9.0:

@@ -93,10 +93,10 @@ class LSTMCell:
                              reshape(state.c, (1, -1)), self.w_input, self.w_hidden, self.bias)
         return LSTMState(reshape(h, (-1,)), reshape(c, (-1,)))
 
-    def sequence(self, x: Tensor, lengths: np.ndarray) -> Tensor:
+    def sequence(self, x: Tensor) -> Tensor:
         """Hidden states [B, T, H] of rows ``x`` [B, T, input_dim] run from the
-        zero state, row b for ``lengths[b]`` steps (zeros after)."""
-        return lstm_sequence(x, None, None, self.w_input, self.w_hidden, self.bias, lengths)[0]
+        zero state over all T steps."""
+        return lstm_sequence(x, None, None, self.w_input, self.w_hidden, self.bias)[0]
 
     def named_params(self, prefix: str) -> dict[str, Tensor]:
         return {

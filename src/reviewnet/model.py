@@ -106,7 +106,6 @@ class ForwardOutput:
     language`` for multi-task variants, of the one task loss otherwise.
     """
 
-    class_logits: Tensor | None
     aesthetics: Tensor | None
     language: Tensor | None
     loss: Tensor | None
@@ -246,7 +245,9 @@ class ReviewerModel:
         START, then the caption tokens, padded to the longest caption.
 
         Returns the summed cross-entropy of predicting every caption token and
-        each terminating END.
+        each terminating END. The padded steps run through the cells like real
+        ones; only the loss mask ``scored`` and the draw order of the dropout
+        masks know where a caption ends.
         """
         captions = [[int(t) for t in caption] for caption in captions]
         if not all(captions):
@@ -273,7 +274,7 @@ class ReviewerModel:
         for k, cell in enumerate(self.cells):
             if masks is not None:
                 h = dropout(h, keep, mask=masks[k])
-            h = cell.sequence(h, steps)
+            h = cell.sequence(h)
         if masks is not None:
             h = dropout(h, keep, mask=masks[-1])
         return linear_cross_entropy(h, self.out_proj.weight, self.out_proj.bias, targets,
@@ -288,7 +289,8 @@ class ReviewerModel:
         The representation and classifier layers run row-wise, and each
         stacked cell runs the padded captions as one ``lstm_sequence``.
         Labels and captions are ignored by a variant without the matching
-        head. Dropout below ``dropout_keep`` = 1 draws its masks from ``rng``.
+        head, and a head runs only when its targets are given. Dropout below
+        ``dropout_keep`` = 1 draws its masks from ``rng``.
         """
         if not len(inputs):
             raise ContractError("a batch needs at least one example")
@@ -297,11 +299,10 @@ class ReviewerModel:
         n = len(inputs)
         v = self.image_representation(np.stack(inputs))
         rep_cls, rep_gen = self.representation(v)
-        class_logits = aesthetics = language = loss = None
-        if self.variant.has_classifier:
-            class_logits = self.class_logits(rep_cls)
-            if labels is not None:
-                aesthetics = cross_entropy(class_logits, np.asarray(labels, dtype=np.int64))
+        aesthetics = language = loss = None
+        if self.variant.has_classifier and labels is not None:
+            aesthetics = cross_entropy(self.class_logits(rep_cls),
+                                       np.asarray(labels, dtype=np.int64))
         if self.variant.has_generator and captions is not None:
             language = self._language(rep_gen, captions, dropout_keep, rng)
         if self.variant.multi_task:
@@ -309,7 +310,7 @@ class ReviewerModel:
                 loss = add(scale(aesthetics, alpha / n), scale(language, beta / n))
         elif aesthetics is not None or language is not None:
             loss = scale(aesthetics if aesthetics is not None else language, 1.0 / n)
-        return ForwardOutput(class_logits, aesthetics, language, loss)
+        return ForwardOutput(aesthetics, language, loss)
 
     # -- parameters ----------------------------------------------------------
 

@@ -57,12 +57,6 @@ def naive_conv2d(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     return out
 
 
-def softmax_direct(logits: np.ndarray) -> np.ndarray:
-    e = [math.exp(v) for v in logits]
-    s = sum(e)
-    return np.array([v / s for v in e])
-
-
 def log_sum_exp(values: np.ndarray) -> float:
     m = max(float(v) for v in values)
     return m + math.log(sum(math.exp(float(v) - m) for v in values))

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, ContractError, NumericError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError
 
 __all__ = [
     "Tensor",
@@ -36,7 +36,6 @@ __all__ = [
     "relu",
     "reshape",
     "scale",
-    "softmax",
     "stable_sigmoid",
     "sum_all",
     "topo_order",
@@ -213,23 +212,6 @@ def relu(x: Tensor) -> Tensor:
             x.grad += g * (x.data > 0)
 
     return _track(np.maximum(x.data, 0.0), (x,), grad_fn)
-
-
-def softmax(logits: Tensor) -> Tensor:
-    """Stable softmax over a vector (max is subtracted before exponentiation)."""
-    if logits.data.ndim != 1 or logits.data.size == 0:
-        raise ShapeError(f"softmax needs a non-empty vector, got shape {logits.data.shape}")
-    if not np.all(np.isfinite(logits.data)):
-        raise NumericError("softmax input contains non-finite values")
-    z = logits.data - logits.data.max()
-    e = np.exp(z)
-    s = e / e.sum()
-
-    def grad_fn(g: np.ndarray) -> None:
-        if logits.requires_grad:
-            logits.grad += s * (g - float(g @ s))
-
-    return _track(s, (logits,), grad_fn)
 
 
 def _int_indices(values, bound: int, what: str) -> np.ndarray:
@@ -418,17 +400,17 @@ def lstm_cell(gates: np.ndarray, c: np.ndarray):
 
 
 def lstm_sequence(x: Tensor, h0: Tensor | None, c0: Tensor | None, w_input: Tensor,
-                  w_hidden: Tensor, bias: Tensor,
-                  lengths: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+                  w_hidden: Tensor, bias: Tensor) -> tuple[Tensor, Tensor]:
     """An LSTM unrolled over the time axis of ``x`` [B, T, E]; returns the
     hidden and cell states after every step, (h, c), each [B, T, H].
 
-    The state starts at (``h0``, ``c0``) [B, H], zeros when None. Row b runs
-    ``lengths[b]`` steps (all T when None); its outputs after that are zero
-    and pass no gradient. The forward makes one input-projection GEMM over all
-    B*T rows and one recurrent GEMM per step. The backward is hand-written
-    BPTT: it stores the gate gradients of every step and returns the weight
-    gradients as single GEMMs over the B*T rows.
+    The state starts at (``h0``, ``c0``) [B, H], zeros when None. Every row
+    runs all T steps: no step reads a later one, so the steps past a padded
+    row's end leave its earlier states and, when the loss ignores them, its
+    gradients as they are. The forward makes one input-projection GEMM over
+    all B*T rows and one recurrent GEMM per step. The backward is
+    hand-written BPTT: it stores the gate gradients of every step and
+    returns the weight gradients as single GEMMs over the B*T rows.
     """
     xd, wi, wh, b = x.data, w_input.data, w_hidden.data, bias.data
     if xd.ndim != 3:
@@ -443,12 +425,6 @@ def lstm_sequence(x: Tensor, h0: Tensor | None, c0: Tensor | None, w_input: Tens
     if h_init.shape != (n, hd) or c_init.shape != (n, hd):
         raise ShapeError(f"lstm_sequence: initial state {h_init.shape}, {c_init.shape} "
                          f"for batch {n} and width {hd}")
-    valid = None
-    if lengths is not None:
-        lengths = np.asarray(lengths)
-        if lengths.shape != (n,) or np.any(lengths < 1) or np.any(lengths > steps):
-            raise ShapeError(f"lstm_sequence: lengths {lengths} for {n} rows of {steps} steps")
-        valid = (np.arange(steps) < lengths[:, None])[..., None]
 
     xw = (xd.reshape(n * steps, width) @ wi.T).reshape(n, steps, 4 * hd) + b
     hs = np.empty((n, steps, hd))
@@ -463,16 +439,16 @@ def lstm_sequence(x: Tensor, h0: Tensor | None, c0: Tensor | None, w_input: Tens
     c_seen: list[np.ndarray] = []
 
     def grad_fn(gh: np.ndarray) -> None:
-        gc = c_seen[-1] if c_seen else np.zeros_like(cs)
-        if valid is not None:
-            gh, gc = gh * valid, gc * valid
+        gc = c_seen[-1] if c_seen else None  # None when the loss never reads c
         dgates = np.empty((n, steps, 4 * hd))
         dh = np.zeros((n, hd))
         dc = np.zeros((n, hd))
         for t in range(steps - 1, -1, -1):
             i, f, g, o, tc = acts[:, :, t]
             dh = dh + gh[:, t]
-            dc = dc + gc[:, t] + dh * o * (1.0 - tc * tc)
+            if gc is not None:
+                dc = dc + gc[:, t]
+            dc = dc + dh * o * (1.0 - tc * tc)
             c_prev = cs[:, t - 1] if t else c_init
             dg = dgates[:, t]
             dg[:, :hd] = dc * g * i * (1.0 - i)
@@ -496,15 +472,11 @@ def lstm_sequence(x: Tensor, h0: Tensor | None, c0: Tensor | None, w_input: Tens
         if c0 is not None and c0.requires_grad:
             c0.grad += dc
 
-    if valid is not None:
-        hs_out, cs_out = hs * valid, cs * valid
-    else:
-        hs_out, cs_out = hs, cs
     parents = [t for t in (x, h0, c0, w_input, w_hidden, bias) if t is not None]
-    h_out = _track(hs_out, parents, grad_fn)
+    h_out = _track(hs, parents, grad_fn)
     # the cell states are recorded as a child of h_out, so backward reaches them
     # first; they hand their gradient to h_out's BPTT instead of a parent
-    c_out = _track(cs_out, (h_out,), c_seen.append)
+    c_out = _track(cs, (h_out,), c_seen.append)
     return h_out, c_out
 
 

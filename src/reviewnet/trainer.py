@@ -38,6 +38,11 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 < self.learning_rate < np.inf:
             raise ConfigError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        if not (0.0 <= self.alpha < np.inf and 0.0 <= self.beta < np.inf):
+            raise ConfigError(f"alpha and beta must be finite and non-negative, "
+                              f"got {self.alpha} and {self.beta}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.clip_norm is not None and not 0.0 < self.clip_norm < np.inf:
             raise ConfigError(f"clip_norm must be None or finite and positive, got {self.clip_norm}")
         if not 0.0 < self.dropout_keep <= 1.0:
@@ -238,14 +243,16 @@ def tune_alpha_beta(model_factory, dataset: ReviewDataset,
     valid_examples = dataset.split("valid")
     best_pair = None
     best_key: tuple[float, float] | None = None
-    for alpha, beta in grid:
+    # built up front, so a bad weight anywhere in the grid fails before any training
+    points = [replace(config, alpha=alpha, beta=beta) for alpha, beta in grid]
+    for point in points:
         model = model_factory()
-        train(model, dataset, replace(config, alpha=alpha, beta=beta))
+        train(model, dataset, point)
         accuracy = _valid_accuracy(model, valid_examples)
         bleu1 = (_valid_bleu1(model, valid_examples, dataset.vocab, config.max_caption_len)
                  if dataset.vocab is not None else 0.0)
         key = (accuracy if accuracy is not None else 0.0, bleu1)
         if best_key is None or key > best_key:
             best_key = key
-            best_pair = (alpha, beta)
+            best_pair = (point.alpha, point.beta)
     return best_pair

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from reviewnet import tensor
-from reviewnet.cli import main
+from reviewnet.cli import _primitive_cases, main
 from reviewnet.dataset import FEATURES_MAGIC, RESERVED_TOKENS
 from reviewnet.model import load_checkpoint, save_checkpoint
 
@@ -157,6 +157,23 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert run("train", "--data", data, "--variant", variant, "--epochs", 1,
                    "--out", ckpt, *TRAIN_FLAGS, flag, value) == 2
         assert not ckpt.exists()
+    # a loss weight that is not finite or is negative, even where the variant
+    # ignores it; a seed below 0; a tuning grid that is not numbers or holds a
+    # bad weight
+    for variant, flag, value in (("model1", "--alpha", "nan"), ("model1", "--alpha", "inf"),
+                                 ("model1", "--beta", "nan"), ("model1", "--beta", "inf"),
+                                 ("model1", "--alpha", -1), ("iac", "--alpha", "nan"),
+                                 ("model1", "--seed", -1), ("model1", "--tune-grid", "a,b"),
+                                 ("model1", "--tune-grid", "1,nan")):
+        assert run("train", "--data", data, "--variant", variant, "--epochs", 1,
+                   "--out", ckpt, *TRAIN_FLAGS, flag, value) == 2
+        assert not ckpt.exists()
+    for flags in (("--seed", -1), ("--seed", 3, "--feature-dim", 0),
+                  ("--seed", 3, "--feature-dim", -2)):
+        assert run("synth-data", "--n-images", 12, "--out", tmp_path / "bad", *flags) == 2
+        assert not (tmp_path / "bad").exists()
+    assert run("grad-check", "--seed", -1) == 2
+    assert "primitive" not in capsys.readouterr().out
 
 
 def test_missing_data_exits_3(tmp_path, capsys):
@@ -227,14 +244,24 @@ def test_tune_grid_on_single_task_exits_2(tmp_path, capsys):
                "--out", tmp_path / "i.ckpt", "--tune-grid", "0.5,1", *TRAIN_FLAGS) == 2
 
 
+def _case_primitives():
+    """The primitives that grad-check's cases difference."""
+    return {name.split()[0] for name, _, _ in _primitive_cases(np.random.default_rng(0))}
+
+
+def test_primitive_cases_cover_every_differentiable_primitive():
+    # a primitive added to or removed from the tape cannot drop out of grad-check
+    not_differentiable = {"Tensor", "backward", "lstm_cell", "stable_sigmoid", "topo_order"}
+    assert _case_primitives() == set(tensor.__all__) - not_differentiable
+
+
 def test_grad_check_passes(capsys):
     assert run("grad-check", "--seed", 7) == 0
     out = capsys.readouterr().out
     assert "max relative error" in out
-    # every differentiable tape primitive is differenced
+    # every primitive case is differenced
     checked = {line.split()[1] for line in out.splitlines() if line.startswith("primitive ")}
-    assert checked == set(tensor.__all__) - {"Tensor", "backward", "lstm_cell",
-                                             "stable_sigmoid", "topo_order"}
+    assert checked == _case_primitives()
 
 
 def test_tune_grid_via_cli(tmp_path, capsys):
@@ -264,3 +291,49 @@ def test_mt_baseline_trains_on_images(tmp_path):
     assert run("evaluate", "--data", data, "--ckpt", ckpt, "--beam", 2,
                "--report", report) == 0
     assert json.loads(report.read_text())["overall_accuracy"] is not None
+
+
+@pytest.fixture(scope="module")
+def untrained(tmp_path_factory):
+    """A dataset with its vocabulary and an untrained model1 checkpoint."""
+    root = tmp_path_factory.mktemp("untrained")
+    data, ckpt = root / "data", root / "m1.ckpt"
+    assert run("synth-data", "--seed", 3, "--n-images", 12, "--out", data) == 0
+    assert run("build-vocab", "--data", data) == 0
+    assert run("train", "--data", data, "--variant", "model1", "--epochs", 0,
+               "--out", ckpt, *TRAIN_FLAGS) == 0
+    return data, ckpt
+
+
+PATH_FAULTS = {
+    "evaluate-ckpt-is-dir": lambda data, ckpt, bad: [
+        "evaluate", "--data", data, "--ckpt", bad, "--report", bad.parent / "r.json"],
+    "evaluate-report-is-dir": lambda data, ckpt, bad: [
+        "evaluate", "--data", data, "--ckpt", ckpt, "--beam", 2, "--report", bad],
+    "train-log-is-dir": lambda data, ckpt, bad: [
+        "train", "--data", data, "--variant", "iac", "--epochs", 0,
+        "--out", bad.parent / "i.ckpt", "--log", bad, *TRAIN_FLAGS],
+    "generate-out-is-dir": lambda data, ckpt, bad: [
+        "generate", "--ckpt", ckpt, "--features", data / "features.bin",
+        "--vocab", data / "vocab.txt", "--beam", 2, "--out", bad],
+    "train-out-parent-missing": lambda data, ckpt, bad: [
+        "train", "--data", data, "--variant", "iac", "--epochs", 0,
+        "--out", bad / "x.ckpt", *TRAIN_FLAGS],
+}
+
+
+@pytest.mark.parametrize("fault", PATH_FAULTS)
+def test_path_errors_exit_3_and_name_the_path(untrained, tmp_path, capsys, fault):
+    # a directory where a file is read or written, or a missing parent
+    # directory: a data error naming the path given, and no temporary file left
+    bad = tmp_path / "bad"
+    if fault == "train-out-parent-missing":
+        target = bad / "x.ckpt"
+    else:
+        bad.mkdir()
+        target = bad
+    capsys.readouterr()
+    assert run(*PATH_FAULTS[fault](*untrained, bad)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(target) in err and ".tmp" not in err
+    assert not list(tmp_path.rglob("*.tmp"))

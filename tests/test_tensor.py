@@ -2,16 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from reviewnet import oracles
-from reviewnet.errors import ConfigError, ContractError, NumericError, ShapeError
+from reviewnet.errors import ConfigError, ContractError, ShapeError
 from reviewnet.tensor import (Tensor, add, backward, concat, conv2d,
                               cross_entropy, dropout, embedding_lookup, linear,
-                              linear_cross_entropy, matmul, max_pool2, mul, relu, reshape,
-                              scale, softmax, stable_sigmoid, sum_all, topo_order)
-
-finite_floats = st.floats(min_value=-30, max_value=30, allow_nan=False, allow_infinity=False)
+                              linear_cross_entropy, lstm_sequence, matmul, max_pool2, mul, relu,
+                              reshape, scale, stable_sigmoid, sum_all, topo_order)
 
 
 def grad_of(loss, *params):
@@ -121,7 +118,7 @@ def test_conv2d_channel_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# unary maps and softmax
+# unary maps
 
 
 def test_unary_trivials():
@@ -133,41 +130,6 @@ def test_sigmoid_saturation_no_overflow():
     with np.errstate(over="raise"):
         out = stable_sigmoid(np.array([-1000.0, 1000.0]))
     assert out[0] == 0.0 and out[1] == 1.0
-
-
-def test_softmax_symmetry():
-    assert softmax(Tensor([0.0, 0.0])).data == pytest.approx([0.5, 0.5])
-
-
-def test_softmax_constant_vector():
-    assert softmax(Tensor([3.7] * 4)).data == pytest.approx([0.25] * 4)
-
-
-def test_softmax_matches_direct_formula(rng):
-    logits = rng.normal(size=9)
-    got = softmax(Tensor(logits)).data
-    assert np.max(np.abs(got - oracles.softmax_direct(logits))) <= 1e-12
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(finite_floats, min_size=1, max_size=8))
-def test_softmax_sums_to_one(values):
-    out = softmax(Tensor(values)).data
-    assert abs(out.sum() - 1.0) <= 1e-9
-    assert np.all(out > 0)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(finite_floats, min_size=1, max_size=8), finite_floats)
-def test_softmax_shift_invariance(values, shift):
-    base = softmax(Tensor(values)).data
-    shifted = softmax(Tensor(np.asarray(values) + shift)).data
-    assert np.max(np.abs(base - shifted)) <= 1e-12
-
-
-def test_softmax_non_finite_input():
-    with pytest.raises(NumericError):
-        softmax(Tensor([np.inf, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +189,38 @@ def test_linear_cross_entropy_shape_contracts():
 
 
 # ---------------------------------------------------------------------------
+# lstm_sequence
+
+
+@pytest.mark.parametrize("reads_cells", [True, False])
+def test_lstm_sequence_padded_steps_move_no_valid_state_or_gradient(rng, reads_cells):
+    # every row runs all T steps; no step reads a later one, so whatever fills
+    # the steps past a row's length leaves the states before it, and the
+    # gradients of a loss that reads only those states, the same to the bit
+    n, steps, width, hd = 3, 5, 4, 3
+    valid = np.arange(steps) < np.array([5, 2, 1])[:, None]
+    x_valid = rng.normal(size=(n, steps, width))
+    state = [rng.normal(size=s) for s in [(n, hd), (n, hd), (4 * hd, width), (4 * hd, hd),
+                                          4 * hd]]
+    r_h, r_c = (rng.normal(size=(n, steps, hd)) * valid[..., None] for _ in range(2))
+
+    def run(fill):
+        x = Tensor(np.where(valid[..., None], x_valid, fill), requires_grad=True)
+        h0, c0, w_input, w_hidden, bias = (Tensor(a, requires_grad=True) for a in state)
+        h, c = lstm_sequence(x, h0, c0, w_input, w_hidden, bias)
+        loss = sum_all(mul(h, Tensor(r_h)))
+        if reads_cells:
+            loss = add(loss, sum_all(mul(c, Tensor(r_c))))
+        grads = grad_of(loss, w_input, w_hidden, bias, h0, c0, x)
+        return [h.data[valid], c.data[valid], *grads[:-1], grads[-1][valid]]
+
+    zeros = run(np.zeros((n, steps, width)))
+    noise = run(rng.normal(scale=1e3, size=(n, steps, width)))
+    for a, b in zip(zeros, noise):
+        assert a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # backward contracts
 
 
@@ -254,7 +248,7 @@ def test_backward_is_bit_deterministic(rng):
 
     def run():
         w = Tensor(data.copy(), requires_grad=True)
-        loss = sum_all(mul(softmax(w), w))
+        loss = cross_entropy(mul(w, w), 2)
         backward(loss)
         return w.grad.tobytes()
 
@@ -290,7 +284,7 @@ def _random_graph_cases(seed):
     mask = rng.random(4) < 0.6
 
     def build():
-        h = softmax(matmul(w1, v))
+        h = scale(matmul(w1, v), 0.5)
         h = dropout(h, 0.6, mask=mask)
         z = linear(h, w2)
         e = embedding_lookup(tab, 2)
