@@ -22,9 +22,9 @@ from .errors import (ConfigError, ContractError, DataError, NumericError, ShapeE
 from .inference import beam_search, predict_class, strip_end
 from .metrics import EvalPair, MetricReport, overall_accuracy, report_table, score_corpus
 from .model import ModelConfig, ReviewerModel, Variant, load_checkpoint, save_checkpoint
-from .tensor import (Tensor, add, backward, concat, conv2d, cross_entropy, dropout,
-                     embedding_lookup, linear, linear_cross_entropy, lstm_sequence, matmul,
-                     max_pool2, mul, relu, reshape, scale, sum_all)
+from .tensor import (Tensor, add, backward, concat, conv2d, dropout, embedding_lookup, linear,
+                     linear_cross_entropy, lstm_sequence, matmul, max_pool2, mul, relu,
+                     reshape, scale, sum_all)
 from .trainer import (Instance, TrainConfig, batch_loss, instance_loss, train,
                       tune_alpha_beta, write_metrics_csv)
 
@@ -152,7 +152,6 @@ def _primitive_cases(rng: np.random.Generator):
          lambda: reduce(linear(rows, lin_w, lin_b), r_lin)),
         ("conv2d", [x_img, kern, kern_b], lambda: sum_all(conv2d(x_img, kern, kern_b))),
         ("relu", [u], lambda: sum_all(relu(u))),
-        ("cross_entropy", [v], lambda: cross_entropy(v, 2)),
         ("linear_cross_entropy", [rows_ce, lin_w, lin_b],
          lambda: linear_cross_entropy(rows_ce, lin_w, lin_b, ce_targets, ce_mask)),
         ("add", [v, w], lambda: reduce(add(v, w), r5b)),
@@ -225,6 +224,19 @@ def gradient_check_suite(seed: int, *, coord_sample: int = 25) -> float:
 # commands
 
 
+def _check_outputs(*paths) -> None:
+    """Fail before any work if an output path (None: not asked for) is a
+    directory or lies in a directory that does not exist."""
+    for given in paths:
+        if given is None:
+            continue
+        path = Path(given)
+        if path.is_dir():
+            raise DataError(f"cannot write {given}: it is a directory")
+        if not path.parent.is_dir():
+            raise DataError(f"cannot write {given}: {path.parent} is not a directory")
+
+
 def _cmd_synth_data(args) -> int:
     ds = synth_dataset(args.seed, args.n_images, feature_dim=args.feature_dim,
                        modality=args.modality)
@@ -245,6 +257,8 @@ def _cmd_build_vocab(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    log_path = args.log or f"{args.out}.metrics.csv"
+    _check_outputs(args.out, log_path)
     ds = load_dataset(args.data)
     variant = Variant(args.variant)
     if variant is Variant.MT_BASELINE and ds.modality != "images":
@@ -288,7 +302,6 @@ def _cmd_train(args) -> int:
     model = ReviewerModel(variant, config, seed=args.seed)
     result = train(model, ds, tcfg)
     save_checkpoint(model, args.out)
-    log_path = args.log or f"{args.out}.metrics.csv"
     write_metrics_csv(result.log, log_path)
     if result.log:
         print(f"saved {args.out} (best epoch {result.best_epoch}, "
@@ -299,6 +312,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    _check_outputs(args.report, args.generations)
     ds = load_dataset(args.data)
     model = load_checkpoint(args.ckpt)
     examples = ds.split(args.split)
@@ -325,6 +339,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    _check_outputs(args.out)
     features = read_payload(args.features, FEATURES_MAGIC)
     vocab = Vocabulary.load(args.vocab)
     model = load_checkpoint(args.ckpt)

@@ -30,6 +30,9 @@ from .errors import ConfigError, DataError
 PAD_ID, START_ID, END_ID, UNK_ID = 0, 1, 2, 3
 RESERVED_TOKENS = ("<PAD>", "<START>", "<END>", "<UNK>")
 MAX_CAPTION_LEN = 30  # tokens per caption in training and decoding, END included when decoding
+# scores within LABEL_PIVOT +/- LABEL_DELTA are ambiguous and get discarded
+LABEL_PIVOT = 5.0
+LABEL_DELTA = 0.5
 
 FEATURES_MAGIC = b"NAIRF1"
 IMAGES_MAGIC = b"NAIRI1"
@@ -78,26 +81,15 @@ def tokenize(text: str) -> list[str]:
     return text.split()
 
 
-@dataclass(frozen=True)
-class LabelRule:
-    """Scores within ``pivot +/- delta`` are ambiguous and get discarded."""
-
-    delta: float = 0.5
-    pivot: float = 5.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.delta < 4.0:
-            raise ConfigError(f"delta must be in [0, 4), got {self.delta}")
-
-
-def label_from_score(score: float, rule: LabelRule = LabelRule()) -> Label | None:
-    """Low below pivot-delta, High at or above pivot+delta, None in between."""
+def label_from_score(score: float) -> Label | None:
+    """Low below LABEL_PIVOT - LABEL_DELTA, High at or above LABEL_PIVOT +
+    LABEL_DELTA, None (ambiguous, discarded) in between."""
     score = float(score)
     if not 1.0 <= score <= 10.0:
         raise ValueError(f"score {score} outside the valid range [1, 10]")
-    if score < rule.pivot - rule.delta:
+    if score < LABEL_PIVOT - LABEL_DELTA:
         return Label.LOW
-    if score >= rule.pivot + rule.delta:
+    if score >= LABEL_PIVOT + LABEL_DELTA:
         return Label.HIGH
     return None
 
@@ -217,8 +209,7 @@ def _split_sizes(per_class: int) -> tuple[int, int, int]:
 
 def synth_dataset(seed: int, n_images: int, *, feature_dim: int = 16,
                   modality: str = "features",
-                  templates: tuple[tuple[str, ...], tuple[str, ...]] | None = None,
-                  rule: LabelRule = LabelRule()) -> ReviewDataset:
+                  templates: tuple[tuple[str, ...], tuple[str, ...]] | None = None) -> ReviewDataset:
     """Deterministic class-balanced toy dataset.
 
     Features are class-conditional Gaussians (means at -1 and +1 per
@@ -235,8 +226,6 @@ def synth_dataset(seed: int, n_images: int, *, feature_dim: int = 16,
         raise ConfigError(f"feature_dim must be >= 1, got {feature_dim}")
     if modality not in ("features", "images"):
         raise ConfigError(f"modality must be 'features' or 'images', got {modality!r}")
-    if rule.pivot - rule.delta - 0.1 <= 2.0 or rule.pivot + rule.delta + 0.1 >= 9.0:
-        raise ConfigError(f"delta {rule.delta} leaves no room to sample scores")
     low_templates, high_templates = templates or (LOW_TEMPLATES, HIGH_TEMPLATES)
     rng = np.random.default_rng(seed)
     per_class = n_images // 2
@@ -248,10 +237,10 @@ def synth_dataset(seed: int, n_images: int, *, feature_dim: int = 16,
         pos = len(class_positions[label])
         class_positions[label].append(k)
         if label is Label.LOW:
-            score = float(rng.uniform(2.0, rule.pivot - rule.delta - 0.1))
+            score = float(rng.uniform(2.0, LABEL_PIVOT - LABEL_DELTA - 0.1))
             template = low_templates[pos % len(low_templates)]
         else:
-            score = float(rng.uniform(rule.pivot + rule.delta + 0.1, 9.0))
+            score = float(rng.uniform(LABEL_PIVOT + LABEL_DELTA + 0.1, 9.0))
             template = high_templates[pos % len(high_templates)]
         sign = -1.0 if label is Label.LOW else 1.0
         ex = ReviewExample(
@@ -339,7 +328,7 @@ def read_payload(path: str | Path, magic: bytes) -> np.ndarray:
     return payload
 
 
-def load_dataset(data_dir: str | Path, rule: LabelRule = LabelRule()) -> ReviewDataset:
+def load_dataset(data_dir: str | Path) -> ReviewDataset:
     data_dir = Path(data_dir)
     manifest = data_dir / "manifest.jsonl"
     if not manifest.exists():
@@ -383,7 +372,7 @@ def load_dataset(data_dir: str | Path, rule: LabelRule = LabelRule()) -> ReviewD
         if ex.split not in SPLITS:
             raise DataError(f"{manifest}:{lineno + 1}: unknown split {ex.split!r}")
         try:
-            expected = label_from_score(ex.score, rule)
+            expected = label_from_score(ex.score)
         except ValueError as exc:
             raise DataError(f"{manifest}:{lineno + 1}: {exc}") from None
         if expected is not ex.label:

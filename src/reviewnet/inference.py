@@ -32,7 +32,7 @@ def predict_class(model: ReviewerModel, inputs: np.ndarray) -> tuple[Label, floa
     if not model.variant.has_classifier:
         raise ContractError(f"variant {model.variant.value} has no classifier head")
     rep_cls, _ = model.example_representation(inputs)
-    logits = model.class_logits(rep_cls).data
+    logits = model.classifier(rep_cls).data
     e = np.exp(logits - logits.max())
     probs = e / e.sum()
     pred = int(np.argmax(logits))  # argmax returns the first max, i.e. Low on ties

@@ -7,7 +7,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dataset
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 from .tensor import (Tensor, conv2d, embedding_lookup, linear, lstm_sequence, max_pool2, relu,
                      reshape)
 
@@ -22,24 +22,18 @@ def uniform_param(rng: np.random.Generator, shape) -> Tensor:
 
 
 class Dense:
-    """y = activation(W x + b), activation being 'relu' or None."""
+    """y = W x + b, or W x without a bias."""
 
     def __init__(self, out_dim: int, in_dim: int, *, rng: np.random.Generator,
-                 bias: bool = True, activation: str | None = None):
-        if activation not in (None, "relu"):
-            raise ConfigError(f"unsupported dense activation {activation!r}")
+                 bias: bool = True):
         self.out_dim = out_dim
         self.in_dim = in_dim
         self.weight = uniform_param(rng, (out_dim, in_dim))
         self.bias = uniform_param(rng, (out_dim,)) if bias else None
-        self.activation = activation
 
     def __call__(self, x: Tensor) -> Tensor:
         """Applies to one vector or to every row of [..., in_dim]."""
-        y = linear(x, self.weight, self.bias)
-        if self.activation == "relu":
-            y = relu(y)
-        return y
+        return linear(x, self.weight, self.bias)
 
     def named_params(self, prefix: str) -> dict[str, Tensor]:
         out = {f"{prefix}.weight": self.weight}

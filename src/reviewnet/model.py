@@ -1,9 +1,9 @@
 """Model variants for joint aesthetic classification and comment generation.
 
 A model is a named collection of trainable tensors plus the forward rules
-turning an image representation into class logits and task losses. The
-image representation enters the caption decoder exactly once, as the input at
-the step before the START token, and that step contributes no loss term.
+turning an image representation into task losses. The image representation
+enters the caption decoder exactly once, as the input at the step before the
+START token, and that step contributes no loss term.
 ``ReviewerModel.forward`` computes them for a batch at once; one example is a
 batch of one.
 """
@@ -21,8 +21,8 @@ import numpy as np
 from .dataset import END_ID, PAD_ID, START_ID, write_atomic
 from .errors import ConfigError, ContractError, DataError, ShapeError
 from .layers import Dense, EmbeddingTable, LSTMCell, TinyConvEncoder
-from .tensor import (Tensor, add, concat, cross_entropy, dropout, linear_cross_entropy,
-                     lstm_cell, reshape, scale)
+from .tensor import (Tensor, add, concat, dropout, linear_cross_entropy, lstm_cell, relu,
+                     reshape, scale)
 
 CHECKPOINT_MAGIC = b"NAIRCKPT1"
 
@@ -120,8 +120,8 @@ class ReviewerModel:
         cfg = self.config
         rng = np.random.default_rng(seed)
 
-        def relu_dense(out_dim: int) -> Dense:
-            return Dense(out_dim, cfg.feature_dim, rng=rng, bias=False, activation="relu")
+        def feature_dense(out_dim: int) -> Dense:
+            return Dense(out_dim, cfg.feature_dim, rng=rng, bias=False)
 
         self.encoder = None
         if self.variant is Variant.MT_BASELINE:
@@ -129,11 +129,11 @@ class ReviewerModel:
 
         self.shared = self.cls_specific = self.gen_specific = None
         if self.variant is Variant.MODEL_I:
-            self.shared = relu_dense(cfg.shared_dim)
+            self.shared = feature_dense(cfg.shared_dim)
         elif self.variant is Variant.MODEL_II:
-            self.shared = relu_dense(cfg.shared_dim)
-            self.cls_specific = relu_dense(cfg.specific_dim)
-            self.gen_specific = relu_dense(cfg.specific_dim)
+            self.shared = feature_dense(cfg.shared_dim)
+            self.cls_specific = feature_dense(cfg.specific_dim)
+            self.gen_specific = feature_dense(cfg.specific_dim)
 
         rep_cls_dim, rep_gen_dim = self._rep_dims()
         self.classifier = None
@@ -195,11 +195,12 @@ class ReviewerModel:
                 f"representation input of shape {v.data.shape} does not match feature width "
                 f"{self.config.feature_dim}")
         if self.variant is Variant.MODEL_I:
-            e = self.shared(v)
+            e = relu(self.shared(v))
             return e, e
         if self.variant is Variant.MODEL_II:
-            s = self.shared(v)
-            return concat([self.cls_specific(v), s]), concat([self.gen_specific(v), s])
+            s = relu(self.shared(v))
+            return (concat([relu(self.cls_specific(v)), s]),
+                    concat([relu(self.gen_specific(v)), s]))
         return v, v
 
     def example_representation(self, inputs: np.ndarray) -> tuple[Tensor, Tensor]:
@@ -208,11 +209,6 @@ class ReviewerModel:
         if v.data.ndim != 1:
             raise ShapeError(f"expected one example, got input of shape {np.shape(inputs)}")
         return self.representation(v)
-
-    def class_logits(self, rep_cls: Tensor) -> Tensor:
-        if self.classifier is None:
-            raise ContractError(f"variant {self.variant.value} has no classifier head")
-        return self.classifier(rep_cls)
 
     def _dropout_masks(self, steps: np.ndarray, keep: float,
                        rng: np.random.Generator) -> list[np.ndarray]:
@@ -286,8 +282,9 @@ class ReviewerModel:
                 rng: np.random.Generator | None = None) -> ForwardOutput:
         """Forward pass over a batch of examples at once.
 
-        The representation and classifier layers run row-wise, and each
-        stacked cell runs the padded captions as one ``lstm_sequence``.
+        The representation layers run row-wise, each stacked cell runs the
+        padded captions as one ``lstm_sequence``, and each head's output layer
+        and loss are one ``linear_cross_entropy`` node.
         Labels and captions are ignored by a variant without the matching
         head, and a head runs only when its targets are given. Dropout below
         ``dropout_keep`` = 1 draws its masks from ``rng``.
@@ -301,8 +298,10 @@ class ReviewerModel:
         rep_cls, rep_gen = self.representation(v)
         aesthetics = language = loss = None
         if self.variant.has_classifier and labels is not None:
-            aesthetics = cross_entropy(self.class_logits(rep_cls),
-                                       np.asarray(labels, dtype=np.int64))
+            aesthetics = linear_cross_entropy(rep_cls, self.classifier.weight,
+                                              self.classifier.bias,
+                                              np.asarray(labels, dtype=np.int64),
+                                              np.ones(n, dtype=bool))
         if self.variant.has_generator and captions is not None:
             language = self._language(rep_gen, captions, dropout_keep, rng)
         if self.variant.multi_task:

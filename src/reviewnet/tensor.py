@@ -23,7 +23,6 @@ __all__ = [
     "backward",
     "concat",
     "conv2d",
-    "cross_entropy",
     "dropout",
     "embedding_lookup",
     "linear",
@@ -225,35 +224,6 @@ def _int_indices(values, bound: int, what: str) -> np.ndarray:
     return idx
 
 
-def cross_entropy(logits: Tensor, target) -> Tensor:
-    """Summed -log softmax(row)[target] over the rows of ``logits``.
-
-    ``logits`` is one logit vector or rows [..., classes]; ``target`` is an int
-    or an int array over the rows. Computed through log-sum-exp.
-    """
-    ld = logits.data
-    if ld.ndim < 1 or ld.shape[-1] == 0:
-        raise ShapeError(f"cross_entropy needs logit rows, got shape {ld.shape}")
-    n = ld.shape[-1]
-    t = _int_indices(target, n, "target")
-    if t.shape != ld.shape[:-1]:
-        raise ShapeError(f"cross_entropy: targets of shape {t.shape} for logits {ld.shape}")
-    z = ld - ld.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    se = e.sum(axis=-1, keepdims=True)
-    probs = e / se
-    rows = np.log(se[..., 0]) - np.take_along_axis(z, t[..., None], axis=-1)[..., 0]
-
-    def grad_fn(g: np.ndarray) -> None:
-        if logits.requires_grad:
-            d = probs.copy()
-            flat = d.reshape(-1, n)
-            flat[np.arange(flat.shape[0]), t.reshape(-1)] -= 1.0
-            logits.grad += float(g) * d
-
-    return _track(np.asarray(rows.sum()), (logits,), grad_fn)
-
-
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     """Concatenate along ``axis`` (the last by default)."""
     ts = list(tensors)
@@ -335,8 +305,9 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
 def linear_cross_entropy(h: Tensor, weight: Tensor, bias: Tensor, target,
                          mask: np.ndarray) -> Tensor:
-    """``cross_entropy(linear(h, weight, bias), target)`` over the rows of ``h``
-    [..., in] that ``mask`` selects, as one node: the summed loss.
+    """Summed -log softmax(linear(h, weight, bias))[target] over the rows of
+    ``h`` [..., in] that ``mask`` selects, as one node, computed through
+    log-sum-exp.
 
     ``target`` and the boolean ``mask`` have ``h``'s leading shape; unselected
     rows pass no gradient. The logits of all rows are one GEMM into a buffer

@@ -1,9 +1,10 @@
 """The batched loss against the per-instance reference it replaced.
 
 The reference builds each instance's loss step by step on the tape, with the
-LSTM cell composed gate by gate from slice, sigmoid and tanh nodes and with
-dropout masks drawn where each connection is used. The batched loss pads the
-captions and runs one ``lstm_sequence`` per stacked cell.
+LSTM cell composed gate by gate from slice, sigmoid and tanh nodes, each
+head's loss a one-row cross-entropy node on its logits, and dropout masks
+drawn where each connection is used. The batched loss pads the captions and
+runs one ``lstm_sequence`` per stacked cell.
 """
 
 import numpy as np
@@ -12,8 +13,8 @@ import pytest
 from conftest import TINY, tiny_model
 from reviewnet.dataset import END_ID, MAX_CAPTION_LEN, START_ID
 from reviewnet.model import ModelConfig, ReviewerModel, Variant
-from reviewnet.tensor import (Tensor, _track, add, backward, cross_entropy, dropout, matmul,
-                              mul, scale, stable_sigmoid)
+from reviewnet.tensor import (Tensor, _track, add, backward, dropout, matmul, mul, scale,
+                              stable_sigmoid)
 from reviewnet.trainer import Instance, TrainConfig, batch_loss
 
 # ---------------------------------------------------------------------------
@@ -46,6 +47,22 @@ def _tanh(x):
             x.grad += g * (1.0 - t * t)
 
     return _track(t, (x,), grad_fn)
+
+
+def _cross_entropy(logits, target):
+    """-log softmax(logits)[target] of one logit vector, through log-sum-exp."""
+    z = logits.data - logits.data.max()
+    e = np.exp(z)
+    se = e.sum()
+    probs = e / se
+
+    def grad_fn(g):
+        if logits.requires_grad:
+            d = probs.copy()
+            d[target] -= 1.0
+            logits.grad += float(g) * d
+
+    return _track(np.asarray(np.log(se) - z[target]), (logits,), grad_fn)
 
 
 def _cell_step(cell, h, c, x):
@@ -86,7 +103,7 @@ def _reference_language(model, rep_gen, caption, keep, rng):
         h = state[-1][0]
         if keep < 1.0:
             h = _dropout(h, keep, rng)
-        term = cross_entropy(model.out_proj(h), target)
+        term = _cross_entropy(model.out_proj(h), target)
         loss = term if loss is None else add(loss, term)
     return loss
 
@@ -99,7 +116,7 @@ def reference_loss(model, batch, config, rng):
         rep_cls, rep_gen = model.representation(model.image_representation(inst.inputs))
         aes = lang = None
         if model.variant.has_classifier:
-            aes = cross_entropy(model.class_logits(rep_cls), inst.label)
+            aes = _cross_entropy(model.classifier(rep_cls), inst.label)
         if model.variant.has_generator:
             lang = _reference_language(model, rep_gen, list(inst.caption), keep, rng)
         if model.variant.multi_task:

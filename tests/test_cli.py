@@ -310,6 +310,9 @@ PATH_FAULTS = {
         "evaluate", "--data", data, "--ckpt", bad, "--report", bad.parent / "r.json"],
     "evaluate-report-is-dir": lambda data, ckpt, bad: [
         "evaluate", "--data", data, "--ckpt", ckpt, "--beam", 2, "--report", bad],
+    "evaluate-generations-is-dir": lambda data, ckpt, bad: [
+        "evaluate", "--data", data, "--ckpt", ckpt, "--beam", 2,
+        "--report", bad.parent / "r.json", "--generations", bad],
     "train-log-is-dir": lambda data, ckpt, bad: [
         "train", "--data", data, "--variant", "iac", "--epochs", 0,
         "--out", bad.parent / "i.ckpt", "--log", bad, *TRAIN_FLAGS],
@@ -325,15 +328,21 @@ PATH_FAULTS = {
 @pytest.mark.parametrize("fault", PATH_FAULTS)
 def test_path_errors_exit_3_and_name_the_path(untrained, tmp_path, capsys, fault):
     # a directory where a file is read or written, or a missing parent
-    # directory: a data error naming the path given, and no temporary file left
+    # directory: a data error naming the path given, no temporary file left,
+    # and the command's other outputs left as they were
     bad = tmp_path / "bad"
     if fault == "train-out-parent-missing":
         target = bad / "x.ckpt"
     else:
         bad.mkdir()
         target = bad
+    previous = {tmp_path / "i.ckpt": b"previous checkpoint", tmp_path / "r.json": b"{}\n"}
+    for path, content in previous.items():
+        path.write_bytes(content)
     capsys.readouterr()
     assert run(*PATH_FAULTS[fault](*untrained, bad)) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error:") and str(target) in err and ".tmp" not in err
     assert not list(tmp_path.rglob("*.tmp"))
+    for path, content in previous.items():
+        assert path.read_bytes() == content

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from reviewnet import oracles
 from reviewnet.dataset import (END_ID, FEATURES_MAGIC, PAD_ID, RESERVED_TOKENS,
-                               START_ID, UNK_ID, Label, LabelRule, Vocabulary,
+                               START_ID, UNK_ID, Label, Vocabulary,
                                build_vocab, label_from_score, load_dataset,
                                read_payload, save_dataset, synth_dataset, tokenize)
 from reviewnet.errors import ConfigError, DataError
@@ -37,13 +37,6 @@ def test_score_range_is_enforced():
         label_from_score(0.5)
     with pytest.raises(ValueError):
         label_from_score(10.5)
-
-
-def test_delta_rule_validation():
-    with pytest.raises(ConfigError):
-        LabelRule(delta=4.0)
-    with pytest.raises(ConfigError):
-        LabelRule(delta=-0.1)
 
 
 @settings(max_examples=100, deadline=None)

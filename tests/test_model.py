@@ -78,8 +78,8 @@ def test_model2_zeroed_specific_layers_decide_from_shared_only(rng):
     assert np.all(rep_cls.data[:4] == 0.0) and np.all(rep_gen.data[:4] == 0.0)
     shared = np.maximum(model.shared.weight.data @ v, 0.0)
     manual = np.concatenate([np.zeros(4), shared])
-    logits_full = model.class_logits(rep_cls).data
-    logits_manual = model.class_logits(Tensor(manual)).data
+    logits_full = model.classifier(rep_cls).data
+    logits_manual = model.classifier(Tensor(manual)).data
     assert np.array_equal(logits_full, logits_manual)
 
 
@@ -170,8 +170,8 @@ def test_step_logit_count_is_caption_length_plus_one(rng):
 
 
 def test_training_graph_holds_no_token_logit_block(rng):
-    # the output projection and the token loss are one node, so no [B, T, V]
-    # logit (or gradient) block is kept on the tape
+    # each head's output layer and loss are one node, so no [B, T, V] token
+    # logit (or gradient) block and no [B, 2] class logit block is kept on the tape
     model = tiny_model("model1", vocab_size=50)
     captions = [[4, 5, 6, 7], [8], [9, 10, 11]]
     batch = 3, max(map(len, captions)) + 2, 50
@@ -180,6 +180,7 @@ def test_training_graph_holds_no_token_logit_block(rng):
     shapes = [node.data.shape for node in topo_order(out.loss) if id(node) not in params]
     assert batch not in shapes
     assert (batch[0] * batch[1], batch[2]) not in shapes
+    assert (batch[0], 2) not in shapes
 
 
 def test_joint_loss_reduces_to_single_tasks(rng):

@@ -5,10 +5,10 @@ import pytest
 
 from reviewnet import oracles
 from reviewnet.errors import ConfigError, ContractError, ShapeError
-from reviewnet.tensor import (Tensor, add, backward, concat, conv2d,
-                              cross_entropy, dropout, embedding_lookup, linear,
-                              linear_cross_entropy, lstm_sequence, matmul, max_pool2, mul, relu,
-                              reshape, scale, stable_sigmoid, sum_all, topo_order)
+from reviewnet.tensor import (Tensor, add, backward, concat, conv2d, dropout,
+                              embedding_lookup, linear, linear_cross_entropy, lstm_sequence,
+                              matmul, max_pool2, mul, relu, reshape, scale, stable_sigmoid,
+                              sum_all, topo_order)
 
 
 def grad_of(loss, *params):
@@ -136,25 +136,33 @@ def test_sigmoid_saturation_no_overflow():
 # cross entropy
 
 
+def logit_loss(logits, target):
+    """``linear_cross_entropy`` of one row whose logits are ``logits``: a zero
+    input and weight, and the logits as the bias."""
+    logits = np.asarray(logits, dtype=np.float64)
+    return linear_cross_entropy(Tensor(np.zeros((1, 1))), Tensor(np.zeros((logits.size, 1))),
+                                Tensor(logits), np.array([target]), np.ones(1, dtype=bool))
+
+
 def test_cross_entropy_uniform_logits():
-    assert cross_entropy(Tensor([0.0, 0.0]), 0).item() == pytest.approx(np.log(2.0), abs=1e-12)
+    assert logit_loss([0.0, 0.0], 0).item() == pytest.approx(np.log(2.0), abs=1e-12)
 
 
 def test_cross_entropy_saturated_no_overflow():
-    assert cross_entropy(Tensor([1000.0, -1000.0]), 0).item() == pytest.approx(0.0, abs=1e-12)
+    assert logit_loss([1000.0, -1000.0], 0).item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cross_entropy_matches_log_sum_exp_oracle(rng):
     logits = rng.normal(size=7) * 3
-    got = cross_entropy(Tensor(logits), 4).item()
+    got = logit_loss(logits, 4).item()
     assert abs(got - oracles.cross_entropy_direct(logits, 4)) <= 1e-10
 
 
 def test_cross_entropy_target_out_of_range():
     with pytest.raises(IndexError):
-        cross_entropy(Tensor([0.0, 0.0]), 2)
+        logit_loss([0.0, 0.0], 2)
     with pytest.raises(IndexError):
-        cross_entropy(Tensor([0.0, 0.0]), -1)
+        logit_loss([0.0, 0.0], -1)
 
 
 @pytest.mark.parametrize("vocab", [5, 923])
@@ -168,12 +176,16 @@ def test_linear_cross_entropy_matches_linear_then_cross_entropy(vocab):
     fused = linear_cross_entropy(h, w, b, target, mask)
     got = [fused.item(), *grad_of(fused, h, w, b)]
 
-    h_ref, w_ref, b_ref = (Tensor(a, requires_grad=True) for a in (h_data[mask], w_data, b_data))
-    ref = cross_entropy(linear(h_ref, w_ref, b_ref), target[mask])
-    gh_rows, gw, gb = grad_of(ref, h_ref, w_ref, b_ref)
-    gh = np.zeros_like(h_data)
-    gh[mask] = gh_rows
-    for have, want in zip(got, [ref.item(), gh, gw, gb]):
+    rows = h_data.reshape(-1, 8)
+    logits = rows @ w_data.T + b_data
+    loss = sum(oracles.cross_entropy_direct(z, t)
+               for z, t, m in zip(logits, target.ravel(), mask.ravel()) if m)
+    # closed form: softmax - onehot on the scored rows, zero on the others
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    d = (probs - np.eye(vocab)[target.ravel()]) * mask.reshape(-1, 1)
+    for have, want in zip(got, [loss, (d @ w_data).reshape(h_data.shape), d.T @ rows,
+                                d.sum(axis=0)]):
         assert np.max(np.abs(np.asarray(have) - want)) <= 1e-12
 
 
@@ -247,8 +259,9 @@ def test_backward_is_bit_deterministic(rng):
     data = rng.normal(size=6)
 
     def run():
-        w = Tensor(data.copy(), requires_grad=True)
-        loss = cross_entropy(mul(w, w), 2)
+        w = Tensor(data.reshape(1, -1), requires_grad=True)
+        loss = linear_cross_entropy(mul(w, w), Tensor(np.eye(6)), Tensor(np.zeros(6)),
+                                    np.array([2]), np.ones(1, dtype=bool))
         backward(loss)
         return w.grad.tobytes()
 
@@ -282,6 +295,8 @@ def _random_graph_cases(seed):
     r3 = rng.normal(size=3)
     r4 = rng.normal(size=(2, 5))
     mask = rng.random(4) < 0.6
+    zeros3, eye5, zeros5 = Tensor(np.zeros(3)), Tensor(np.eye(5)), Tensor(np.zeros(5))
+    scored = np.ones(2, dtype=bool)
 
     def build():
         h = scale(matmul(w1, v), 0.5)
@@ -290,8 +305,11 @@ def _random_graph_cases(seed):
         e = embedding_lookup(tab, 2)
         mixed = concat([mul(z, Tensor(r3)), mul(h, h), e])
         rows = reshape(mixed, (2, 5))
-        return add(cross_entropy(z, 1), add(cross_entropy(rows, np.array([4, 0])),
-                                            sum_all(mul(rows, Tensor(r4)))))
+        # the logits of z, then of rows through an identity layer
+        loss_z = linear_cross_entropy(reshape(h, (1, -1)), w2, zeros3, np.array([1]),
+                                      scored[:1])
+        loss_rows = linear_cross_entropy(rows, eye5, zeros5, np.array([4, 0]), scored)
+        return add(loss_z, add(loss_rows, sum_all(mul(rows, Tensor(r4)))))
 
     return [w1, w2, v, tab], build
 
