@@ -10,10 +10,10 @@ from many threads once nothing is mutating them.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ContractError, ShapeError
 
@@ -484,11 +484,54 @@ def sum_all(x: Tensor) -> Tensor:
     return _track(np.asarray(x.data.sum()), (x,), grad_fn)
 
 
-def _correlate(x: np.ndarray, kernels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Valid cross-correlation of [B,c,h,w] ``x`` with [f,c,kh,kw] ``kernels``,
-    and the [B,c,h',w',kh,kw] windows of ``x`` it read."""
-    windows = sliding_window_view(x, kernels.shape[2:], axis=(2, 3))
-    return np.einsum("fckl,bchwkl->bfhw", kernels, windows, optimize=True), windows
+@functools.lru_cache(maxsize=8)
+def _window_index(c: int, h: int, w: int, kh: int, kw: int) -> np.ndarray:
+    """Flat positions, within one C-ordered [c,h,w] image, of its valid
+    kh x kw windows: an [h'·w', c·kh·kw] intp array whose rows are the windows
+    in (h', w') order and whose columns run over (c, kh, kw).
+
+    Built once per geometry, so it does not depend on the batch size. Shared
+    by every caller in this module, none of which writes to it. A writeable
+    C-contiguous intp array, because ``np.take`` copies any other index on
+    every call.
+    """
+    corners = np.arange(h - kh + 1)[:, None] * w + np.arange(w - kw + 1)
+    offsets = (np.arange(c)[:, None, None] * h + np.arange(kh)[:, None]) * w + np.arange(kw)
+    return (corners.reshape(-1, 1) + offsets.reshape(1, -1)).astype(np.intp, copy=False)
+
+
+@functools.lru_cache(maxsize=8)
+def _pool_index(c: int, h: int, w: int) -> np.ndarray:
+    """Flat positions, within one C-ordered [c,h,w] image, of its 2x2 stride-2
+    windows: a [4, c·(h//2)·(w//2)] intp array of four planes, the windows'
+    top-left, top-right, bottom-left and bottom-right cells, each plane in
+    (c, h//2, w//2) order. Cached and shared as ``_window_index`` is."""
+    corners = (np.arange(c)[:, None, None] * h + 2 * np.arange(h // 2)[:, None]) * w \
+        + 2 * np.arange(w // 2)
+    cells = np.array([0, 1, w, w + 1])[:, None]
+    return (cells + corners.reshape(1, -1)).astype(np.intp, copy=False)
+
+
+def _correlate(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+    """Valid cross-correlation of [B,c,h,w] ``x`` with [f,c,kh,kw] ``kernels``
+    as one im2col GEMM over C-contiguous [B·h'·w', c·kh·kw] window rows.
+
+    The GEMM operands have the layouts numpy's einsum gives this contraction,
+    so the results equal einsum's bit for bit (the tests hold einsum as the
+    reference): the window rows times the [c·kh·kw, f] kernel matrix
+    ``kernels.transpose(1, 2, 3, 0).reshape(-1, f)``, a view for C-ordered
+    kernels and a C-ordered copy for the flipped kernels of the input
+    gradient. The [B·h'·w', f] product is returned as a [B,f,h',w'] view that
+    is not C-contiguous. The output and its gradient inherit that layout,
+    which sets the summation order of the bias gradient; the
+    [f, B·h'·w'] orientation of the same product changes its bits.
+    """
+    n, c, h, w = x.shape
+    f, _, kh, kw = kernels.shape
+    rows = np.take(x.reshape(n, -1), _window_index(c, h, w, kh, kw), axis=1)
+    rows = rows.reshape(-1, c * kh * kw)
+    out = rows @ kernels.transpose(1, 2, 3, 0).reshape(-1, f)
+    return out.reshape(n, h - kh + 1, w - kw + 1, f).transpose(0, 3, 1, 2)
 
 
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
@@ -501,7 +544,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     xd, kd, bd = x.data, kernels.data, bias.data
     if xd.ndim != 4 or kd.ndim != 4:
         raise ShapeError(f"conv2d needs [B,c,h,w] and [f,c,kh,kw], got {xd.shape} and {kd.shape}")
-    _, c, h, w = xd.shape
+    n, c, h, w = xd.shape
     f, kc, kh, kw = kd.shape
     if kc != c:
         raise ShapeError(f"conv2d: input has {c} channels but kernels expect {kc}")
@@ -509,17 +552,25 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"conv2d: kernel {kh}x{kw} larger than input {h}x{w}")
     if bd.shape != (f,):
         raise ShapeError(f"conv2d: bias {bd.shape} does not fit {f} kernels")
-    out, windows = _correlate(xd, kd)
+    out = _correlate(xd, kd)
 
     def grad_fn(g: np.ndarray) -> None:
         if kernels.requires_grad:
-            # per image, then summed in batch order: contracting b too rounds differently
-            kernels.grad += np.einsum("bfhw,bchwkl->bfckl", g, windows, optimize=True).sum(axis=0)
+            # per image, then summed in batch order: contracting b too rounds
+            # differently. The windows must be a C-contiguous
+            # [B, c·kh·kw, h'·w'] copy: a transposed view of the rows rounds
+            # differently at some shapes, e.g. inputs (2,5,9,9) and (3,4,7,7).
+            # The copy stays a temporary, freed before the input gradient's.
+            # (np.take copies the transposed index too: a cheap, small copy.)
+            per_image = (np.take(xd.reshape(n, -1), _window_index(c, h, w, kh, kw).T, axis=1)
+                         @ g.reshape(n, f, -1).transpose(0, 2, 1))
+            kernels.grad += per_image.reshape(n, c, kh, kw, f).transpose(0, 4, 1, 2, 3).sum(axis=0)
         if bias.requires_grad:
             bias.grad += g.sum(axis=(2, 3)).sum(axis=0)
         if x.requires_grad:
-            padded = np.pad(g, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-            x.grad += _correlate(padded, kd.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])[0]
+            padded = np.zeros((n, f, h + kh - 1, w + kw - 1))
+            padded[:, :, kh - 1:h, kw - 1:w] = g
+            x.grad += _correlate(padded, kd.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
 
     return _track(out + bd[:, None, None], (x, kernels, bias), grad_fn)
 
@@ -527,7 +578,9 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
 def max_pool2(x: Tensor) -> Tensor:
     """2x2 max pooling with stride 2 over [B,c,h,w]; a trailing odd row/column is dropped.
 
-    Ties within a window route the gradient to the first (top-left-most) max.
+    Ties within a window route the gradient to the first (top-left-most) max,
+    and a NaN counts as the max, the first NaN of a window taking it: the
+    cell ``np.argmax`` picks.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"max_pool2 needs [B,c,h,w], got shape {x.data.shape}")
@@ -535,18 +588,19 @@ def max_pool2(x: Tensor) -> Tensor:
     h2, w2 = h // 2, w // 2
     if h2 == 0 or w2 == 0:
         raise ShapeError(f"max_pool2: input {h}x{w} smaller than the 2x2 window")
-    blocks = (x.data[:, :, :2 * h2, :2 * w2]
-              .reshape(n, c, h2, 2, w2, 2)
-              .transpose(0, 1, 2, 4, 3, 5)
-              .reshape(n, c, h2, w2, 4))
-    idx = blocks.argmax(axis=-1)
-    out = np.take_along_axis(blocks, idx[..., None], axis=-1)[..., 0]
+    index = _pool_index(c, h, w)
+    planes = np.take(x.data.reshape(n, -1), index, axis=1)  # [B, 4, windows]
+    pick = planes.argmax(axis=1)  # [B, windows]
+    out = np.take_along_axis(planes, pick[:, None], axis=1).reshape(n, c, h2, w2)
 
     def grad_fn(g: np.ndarray) -> None:
         if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            bs, cs, hs, ws = np.indices((n, c, h2, w2))
-            gx[bs, cs, 2 * hs + idx // 2, 2 * ws + idx % 2] += g
-            x.grad += gx
+            # scattered into a C-contiguous buffer, then added: x.grad may have
+            # the transposed layout of a conv output, and a reshape of it
+            # would be a copy that the scatter writes into and loses
+            gx = np.zeros((n, c * h * w))
+            maxima = index[pick, np.arange(index.shape[1])]  # [B, windows] flat positions
+            np.put_along_axis(gx, maxima, g.reshape(n, -1), axis=1)
+            x.grad += gx.reshape(n, c, h, w)
 
     return _track(out, (x,), grad_fn)

@@ -2,8 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
-from reviewnet import oracles
+from reviewnet import oracles, tensor
 from reviewnet.errors import ConfigError, ContractError, ShapeError
 from reviewnet.tensor import (Tensor, add, backward, concat, conv2d, dropout,
                               embedding_lookup, linear, linear_cross_entropy, lstm_sequence,
@@ -115,6 +116,117 @@ def test_conv2d_channel_mismatch():
     # one image is a batch of one, never a bare [c,h,w]
     with pytest.raises(ShapeError, match=r"\[B,c,h,w\]"):
         conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((3, 2, 2, 2))), Tensor(np.zeros(3)))
+
+
+# Bitwise references: the einsum correlation and the argmax pooling that the
+# im2col GEMMs and the gathered window planes must reproduce to the last bit,
+# so that trained weights, checkpoints and reports keep their bytes.
+
+
+def _einsum_correlate(x, kernels):
+    windows = sliding_window_view(x, kernels.shape[2:], axis=(2, 3))
+    return np.einsum("fckl,bchwkl->bfhw", kernels, windows, optimize=True), windows
+
+
+def _einsum_conv2d(xd, kd, bd, g):
+    """Output, then input, kernel and bias gradients for output gradient ``g``."""
+    _, _, kh, kw = kd.shape
+    out, windows = _einsum_correlate(xd, kd)
+    out = out + bd[:, None, None]
+    g_out = np.zeros_like(out)  # the layout the tape gives the output's gradient
+    g_out += g
+    grad_k = np.einsum("bfhw,bchwkl->bfckl", g_out, windows, optimize=True).sum(axis=0)
+    grad_b = g_out.sum(axis=(2, 3)).sum(axis=0)
+    padded = np.pad(g_out, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
+    grad_x = np.zeros_like(xd)
+    grad_x += _einsum_correlate(padded, kd.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])[0]
+    return out, grad_x, grad_k, grad_b
+
+
+def _argmax_max_pool2(xd, g):
+    """Output and input gradient for output gradient ``g``."""
+    n, c, h, w = xd.shape
+    h2, w2 = h // 2, w // 2
+    blocks = (xd[:, :, :2 * h2, :2 * w2].reshape(n, c, h2, 2, w2, 2)
+              .transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h2, w2, 4))
+    idx = blocks.argmax(axis=-1)
+    out = np.take_along_axis(blocks, idx[..., None], axis=-1)[..., 0]
+    gx = np.zeros_like(xd)
+    bs, cs, hs, ws = np.indices((n, c, h2, w2))
+    gx[bs, cs, 2 * hs + idx // 2, 2 * ws + idx % 2] += g
+    grad_x = np.zeros_like(xd)
+    grad_x += gx
+    return out, grad_x
+
+
+ENCODER_STAGES = [((3, 32, 32), (8, 3, 3, 3)), ((8, 15, 15), (16, 8, 3, 3))]
+
+
+@pytest.mark.parametrize("x_shape, k_shape", [
+    ((n,) + x, k) for x, k in ENCODER_STAGES for n in (1, 3, 8, 32)
+] + [((2, 5, 9, 9), (4, 5, 3, 3)), ((3, 4, 7, 7), (6, 4, 2, 2)), ((2, 3, 6, 5), (4, 3, 2, 1))])
+def test_conv2d_is_bit_identical_to_einsum_reference(x_shape, k_shape):
+    rng = np.random.default_rng(sum(x_shape) * 100 + sum(k_shape))
+    x, k, b = (Tensor(rng.normal(size=s), requires_grad=True)
+               for s in (x_shape, k_shape, k_shape[:1]))
+    out = conv2d(x, k, b)
+    g = rng.normal(size=out.shape)
+    backward(sum_all(mul(out, Tensor(g))))
+    want = _einsum_conv2d(x.data, k.data, b.data, g)
+    assert out.data.strides == want[0].strides  # the layout the bias gradient sums in
+    for got, ref in zip((out.data, x.grad, k.grad, b.grad), want):
+        assert got.tobytes() == ref.tobytes()
+
+
+def _pool_inputs(rng, shape):
+    ties = np.round(rng.normal(size=shape)) * (rng.random(shape) < 0.5)  # zeros and repeats
+    ties[0, 0, :2, :2] = 0.0
+    ties[0, 0, 0, :2] = -0.0  # a window of signed zeros: the first cell wins
+    nans = rng.normal(size=shape)
+    nans[rng.random(shape) < 0.2] = np.nan
+    nans[0, 0, :2, :2] = [[0.0, np.nan], [5.0, np.nan]]  # a NaN after the first cell
+    return {"normal": rng.normal(size=shape), "ties": ties, "nan": nans}
+
+
+@pytest.mark.parametrize("shape", [(1, 8, 30, 30), (8, 8, 30, 30), (3, 16, 13, 13),
+                                   (2, 3, 5, 7)])
+def test_max_pool2_is_bit_identical_to_argmax_reference(shape):
+    rng = np.random.default_rng(sum(shape))
+    for name, xd in _pool_inputs(rng, shape).items():
+        # C-ordered, and in the transposed layout of a conv2d output
+        for layout in (xd, np.ascontiguousarray(xd.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)):
+            x = Tensor(layout, requires_grad=True)
+            out = max_pool2(x)
+            g = rng.normal(size=out.shape)
+            backward(sum_all(mul(out, Tensor(g))))
+            want_out, want_grad = _argmax_max_pool2(layout, g)
+            assert out.data.tobytes() == want_out.tobytes(), name
+            assert x.grad.tobytes() == want_grad.tobytes(), name
+
+
+def test_window_indices_are_cached_per_geometry(rng):
+    kernels = [Tensor(rng.normal(size=k), requires_grad=True) for _, k in ENCODER_STAGES]
+    biases = [Tensor(rng.normal(size=k[:1]), requires_grad=True) for _, k in ENCODER_STAGES]
+    tensor._window_index.cache_clear()
+    tensor._pool_index.cache_clear()
+    for n in range(1, 10):
+        y = Tensor(rng.random((n,) + ENCODER_STAGES[0][0]))
+        for k, b in zip(kernels, biases):
+            y = max_pool2(relu(conv2d(y, k, b)))
+        backward(sum_all(y))
+    # the two forward correlations and the second stage's input gradient; the
+    # images take no gradient
+    windows, pools = tensor._window_index.cache_info(), tensor._pool_index.cache_info()
+    assert (windows.currsize, windows.misses) == (3, 3)
+    assert (pools.currsize, pools.misses) == (2, 2)
+    cached = [tensor._window_index(3, 32, 32, 3, 3), tensor._window_index(8, 15, 15, 3, 3),
+              tensor._window_index(16, 17, 17, 3, 3), tensor._pool_index(8, 30, 30),
+              tensor._pool_index(16, 13, 13)]
+    assert tensor._window_index.cache_info().misses == 3  # all of them were cached
+    assert sum(index.nbytes for index in cached) < 2 ** 20
+    # the layout np.take uses without copying the index
+    assert all(index.dtype == np.intp and index.flags.c_contiguous and index.flags.writeable
+               for index in cached)
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,31 @@ def test_best_checkpoint_restored_and_reproduces_valid_loss():
     assert again == result.best_valid_loss  # restored weights, identical to the bit
 
 
+@pytest.mark.parametrize("valid_losses, best_epoch", [
+    ([3.0, 2.0, 1.0], 3),  # the last epoch is the best
+    ([3.0, 1.0, 2.0], 2),  # an earlier one is
+    ([float("nan")] * 3, 0),  # none is: the initial state comes back
+])
+def test_best_state_is_a_separate_snapshot_of_the_best_epoch(monkeypatch, valid_losses,
+                                                              best_epoch):
+    ds = synth_with_vocab(n_images=10)
+    model = fresh_model("model1", ds, seed=7)
+    states = [model.param_state()]  # the state after each epoch, the initial one first
+    scripted = iter(valid_losses)
+
+    def scripted_valid_loss(m, instances, config):
+        states.append(m.param_state())
+        return next(scripted)
+
+    monkeypatch.setattr("reviewnet.trainer._mean_valid_loss", scripted_valid_loss)
+    result = train(model, ds, TrainConfig(epochs=3, batch_size=4, seed=2))
+    assert result.best_epoch == best_epoch
+    for name, p in model.params.items():
+        assert not np.shares_memory(result.best_state[name], p.data)
+        assert np.array_equal(p.data, result.best_state[name])
+        assert np.array_equal(p.data, states[best_epoch][name])
+
+
 def test_metrics_csv_layout(tmp_path):
     ds = synth_with_vocab(n_images=10)
     model = fresh_model("v2l", ds, seed=1)
