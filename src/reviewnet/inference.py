@@ -64,11 +64,24 @@ def beam_search(model: ReviewerModel, inputs: np.ndarray, beam_size: int = 20,
     rank = np.zeros(1, dtype=np.int64)
     pool: list[Hypothesis] = []
     for length in range(1, max_len + 1):
-        scores = (log_prob[:, None] + decoder.log_probs(state)).ravel()
-        kept = np.arange(scores.size)
-        if scores.size > beam_size:
+        step = decoder.log_probs(state)
+        step += log_prob[:, None]  # in place: the same sums, one [k, V] array fewer
+        scores = step.ravel()
+        if scores.size <= beam_size:
+            kept = np.arange(scores.size)
+        else:
+            candidates = scores
+            if len(step) >= beam_size:
+                # each row's best is a distinct candidate, so the beam_size-th
+                # best of them is a floor under the bound. Keeping the
+                # candidates not below it (NaNs too, which np.partition ranks
+                # above every number) leaves the bound as it is over all scores
+                row_best = step.max(axis=1)
+                floor = np.partition(row_best, len(step) - beam_size)[len(step) - beam_size]
+                candidates = scores[~(scores < floor)]
             # every candidate at least as good as the beam_size-th best, ties included
-            bound = np.partition(scores, scores.size - beam_size)[scores.size - beam_size]
+            bound = np.partition(candidates, candidates.size - beam_size)[
+                candidates.size - beam_size]
             kept = np.flatnonzero(scores >= bound)
         parents, toks = np.divmod(kept, decoder.vocab_size)
         best = np.lexsort((toks, rank[parents], -scores[kept]))[:beam_size]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 from .errors import ConfigError, ContractError
@@ -33,10 +33,17 @@ _CHUNK_SEARCH_BUDGET = 200_000
 
 @dataclass(frozen=True)
 class EvalPair:
-    """One decoded caption against its reference comments."""
+    """One decoded caption against its reference comments.
+
+    A pair counts its n-grams of an order, and its clipped BLEU counts, once
+    on first use and keeps them, so every metric of one corpus reads the same
+    counts.
+    """
 
     candidate: tuple
     references: tuple
+    _ngram_counts: dict = field(init=False, repr=False, compare=False)
+    _bleu_counts: dict = field(init=False, repr=False, compare=False)
 
     def __init__(self, candidate: Sequence, references: Sequence[Sequence]):
         refs = tuple(tuple(r) for r in references)
@@ -44,6 +51,27 @@ class EvalPair:
             raise ContractError("an evaluation pair needs at least one reference")
         object.__setattr__(self, "candidate", tuple(candidate))
         object.__setattr__(self, "references", refs)
+        object.__setattr__(self, "_ngram_counts", {})
+        object.__setattr__(self, "_bleu_counts", {})
+
+    def ngram_counts(self, order: int) -> tuple[Counter, tuple[Counter, ...]]:
+        """The n-gram counts of the candidate and of each reference."""
+        counts = self._ngram_counts.get(order)
+        if counts is None:
+            counts = (_ngrams(self.candidate, order),
+                      tuple(_ngrams(ref, order) for ref in self.references))
+            self._ngram_counts[order] = counts
+        return counts
+
+    def bleu_counts(self, order: int) -> tuple[int, int]:
+        """(clipped matches, candidate n-grams) of one order: each candidate
+        n-gram counts at most as often as it occurs in any one reference."""
+        counts = self._bleu_counts.get(order)
+        if counts is None:
+            cand, refs = self.ngram_counts(order)
+            clipped = sum(min(c, max(ref[g] for ref in refs)) for g, c in cand.items())
+            counts = self._bleu_counts[order] = (clipped, sum(cand.values()))
+        return counts
 
 
 def overall_accuracy(predictions: Sequence[int], labels: Sequence[int]) -> float:
@@ -74,16 +102,9 @@ def bleu_precisions(pairs: Sequence[EvalPair], n: int) -> tuple[list[float], int
         cand_len += len(pair.candidate)
         ref_len += _closest_ref_len(len(pair.candidate), pair.references)
         for order in range(1, n + 1):
-            counts = _ngrams(pair.candidate, order)
-            if not counts:
-                continue
-            max_ref: Counter = Counter()
-            for ref in pair.references:
-                ref_counts = _ngrams(ref, order)
-                for gram in counts:
-                    max_ref[gram] = max(max_ref[gram], ref_counts[gram])
-            clipped[order - 1] += sum(min(c, max_ref[g]) for g, c in counts.items())
-            totals[order - 1] += sum(counts.values())
+            matched, total = pair.bleu_counts(order)
+            clipped[order - 1] += matched
+            totals[order - 1] += total
     precisions = [clipped[k] / totals[k] if totals[k] else 0.0 for k in range(n)]
     return precisions, cand_len, ref_len
 
@@ -100,15 +121,20 @@ def bleu(pairs: Sequence[EvalPair], n: int) -> float:
 
 
 def _lcs_length(a: Sequence, b: Sequence) -> int:
+    """Length of a longest common subsequence, one Python-int row update per
+    token of ``b`` (bit-parallel LCS, Allison & Dix 1986, in Hyyrö's form):
+    bit i of ``row`` is clear where the LCS table's row steps up at a[i].
+    Tokens match when they are equal as dict keys."""
     if not a or not b:
         return 0
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        row = [0]
-        for j, y in enumerate(b, start=1):
-            row.append(prev[j - 1] + 1 if x == y else max(prev[j], row[-1]))
-        prev = row
-    return prev[-1]
+    matches: dict = {}
+    for i, x in enumerate(a):
+        matches[x] = matches.get(x, 0) | (1 << i)
+    row = full = (1 << len(a)) - 1
+    for y in b:
+        u = row & matches.get(y, 0)
+        row = (row + u) | (row - u)  # carries past bit len(a) - 1 are masked below
+    return len(a) - (row & full).bit_count()
 
 
 def rouge_l(pairs: Sequence[EvalPair], beta: float = ROUGE_BETA) -> float:
@@ -141,14 +167,14 @@ def cider(pairs: Sequence[EvalPair], max_order: int = CIDER_MAX_ORDER) -> float:
         doc_freq: Counter = Counter()
         for pair in pairs:
             grams: set = set()
-            for ref in pair.references:
-                grams.update(_ngrams(ref, order))
+            for ref_counts in pair.ngram_counts(order)[1]:
+                grams.update(ref_counts)
             doc_freq.update(grams)
         idf.append({g: math.log(n_images / (1.0 + df)) for g, df in doc_freq.items()})
 
-    def vector(tokens: Sequence, order: int) -> dict[tuple, float]:
+    def vector(counts: Counter, order: int) -> dict[tuple, float]:
         weights = idf[order - 1]
-        return {g: c * weights.get(g, idf_default) for g, c in _ngrams(tokens, order).items()}
+        return {g: c * weights.get(g, idf_default) for g, c in counts.items()}
 
     def cosine(u: dict, v: dict) -> float:
         norm_u = math.sqrt(sum(x * x for x in u.values()))
@@ -160,8 +186,9 @@ def cider(pairs: Sequence[EvalPair], max_order: int = CIDER_MAX_ORDER) -> float:
     score = 0.0
     for pair in pairs:
         for order in range(1, max_order + 1):
-            cand_vec = vector(pair.candidate, order)
-            sims = [cosine(cand_vec, vector(ref, order)) for ref in pair.references]
+            cand_counts, ref_counts = pair.ngram_counts(order)
+            cand_vec = vector(cand_counts, order)
+            sims = [cosine(cand_vec, vector(counts, order)) for counts in ref_counts]
             score += sum(sims) / len(sims) / max_order
     return 10.0 * score / n_images
 

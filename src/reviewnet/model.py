@@ -223,11 +223,18 @@ class ReviewerModel:
         """
         widths = [self.config.embed_dim] + [self.config.hidden_dim] * len(self.cells)
         offsets = np.cumsum([0] + widths)
-        live = np.arange(int(steps.max())) < steps[:, None]
-        drawn = np.repeat(live[..., None], offsets[-1], axis=2)
-        drawn[:, 0, offsets[-2]:] = False
-        keeps = np.ones(drawn.shape, dtype=bool)
-        keeps[drawn] = rng.random(np.count_nonzero(drawn)) < keep
+        width, image_step = int(offsets[-1]), int(offsets[-2])
+        # a row's draws fill two runs of its flattened [T, width] block: the
+        # image step's input and handoffs, then every later live step whole
+        later = ((steps - 1) * width).tolist()
+        draws = rng.random(len(later) * image_step + sum(later)) < keep
+        keeps = np.ones((len(later), int(steps.max()) * width), dtype=bool)
+        at = 0
+        for row, n in zip(keeps, later):
+            row[:image_step] = draws[at:at + image_step]
+            row[width:width + n] = draws[at + image_step:at + image_step + n]
+            at += image_step + n
+        keeps = keeps.reshape(len(later), -1, width)
         return [keeps[..., a:b] for a, b in zip(offsets[:-1], offsets[1:])]
 
     def _image_input(self, rep_gen: Tensor) -> Tensor:
@@ -393,11 +400,13 @@ class Decoder:
                           self._token_gates[np.asarray(token_ids)])
 
     def log_probs(self, state) -> np.ndarray:
-        """Next-token log probabilities [k, V] of every row of ``state``."""
+        """Next-token log probabilities [k, V] of every row of ``state``, as a
+        fresh array the caller may write to."""
         z = state[-1][0] @ self._out_w.T
         z += self._out_b
         z -= z.max(axis=1, keepdims=True)
-        return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        z -= np.log(np.exp(z).sum(axis=1, keepdims=True))
+        return z
 
 
 # ---------------------------------------------------------------------------

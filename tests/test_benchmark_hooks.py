@@ -10,7 +10,8 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import tiny_model
-from reviewnet.dataset import END_ID
+from reviewnet import cli
+from reviewnet.dataset import END_ID, build_vocab, synth_dataset, tokenize
 from reviewnet.inference import score_caption
 from reviewnet.layers import TinyConvEncoder
 from reviewnet.model import Variant
@@ -80,3 +81,36 @@ def test_layer_probes_run_on_one_example(load_perfbench, monkeypatch, rng):
     assert timings and all(len(samples) == 2 for samples in timings.values())
     nodes, megabytes = probes.tape_counts(jobs)
     assert nodes > 0 and megabytes > 0
+
+
+def test_evaluate_reaches_every_decoder_and_metric_span(load_perfbench, monkeypatch):
+    # perfbench reads its decoder and metrics.*_ms timings from these spans:
+    # one Decoder.log_probs per beam round, and score_corpus calling each
+    # metric through the module; a span never reached would read n = 0
+    trace = load_perfbench("trace")
+    ds = synth_dataset(7, 8, feature_dim=8)
+    vocab = build_vocab([tokenize(c) for ex in ds.examples for c in ex.comments], min_count=1)
+    model = tiny_model("model1", seed=3, vocab_size=len(vocab))
+    rounds = []
+    search = cli.beam_search
+
+    def counted(*args, **kwargs):
+        pool = search(*args, **kwargs)
+        rounds.append(max(len(h.tokens) for h in pool))  # each round adds one token
+        return pool
+
+    monkeypatch.setattr(cli, "beam_search", counted)
+    tracer = trace.Tracer()
+    with trace.patched(trace.span_targets(tracer)):
+        cli.evaluate_examples(model, ds.examples[:3], vocab, beam_size=20, max_len=8)
+    spans = tracer.spans
+
+    def children(parent: str, child: str) -> list[int]:
+        return [sum(1 for s in spans if s[3] == i and s[0] == child)
+                for i, span in enumerate(spans) if span[0] == parent]
+
+    assert len(rounds) == 3 and sum(rounds) > 3
+    assert children("inference.beam_search", "model.Decoder.log_probs") == rounds
+    assert children("metrics.score_corpus", "metrics.bleu") == [4]
+    for metric in ("rouge_l", "cider", "meteor_lite"):
+        assert children("metrics.score_corpus", f"metrics.{metric}") == [1]

@@ -171,21 +171,31 @@ class _ReferenceDecoder:
 def _reference_beam_search(model, features, beam_size, max_len):
     """Every live hypothesis times every token as a (log_prob, tokens, state)
     tuple, sorted by (-log_prob, tokens). Returns the pool as (tokens,
-    log_prob, finished) and how many kept candidates tied in log probability
-    with the next one in that order."""
+    log_prob, finished) and counts of what the search met:
+    ``ties``, kept candidates that tied in log probability with the next one
+    in that order; and, over the rounds with at least ``beam_size`` live
+    hypotheses, ``below_floor``, candidates scoring below the
+    ``beam_size``-th best of the hypotheses' best continuations, and
+    ``row_best_ties``, best continuations that tie with another."""
     decoder = _ReferenceDecoder(model, oracle_decoder(model, features)[1])
     live = [((), 0.0, decoder.initial_state)]
-    pool, ties = [], 0
+    pool, stats = [], Counter()
     for _ in range(max_len):
         if not live:
             break
-        candidates = []
+        candidates, row_bests = [], []
         for tokens, log_prob, state in live:
             step = decoder.log_probs(state)
-            for tok in range(decoder.vocab_size):
-                candidates.append((log_prob + float(step[tok]), tokens + (tok,), state))
+            row = [(log_prob + float(step[tok]), tokens + (tok,), state)
+                   for tok in range(decoder.vocab_size)]
+            candidates.extend(row)
+            row_bests.append(max(score for score, _, _ in row))
+        if len(live) >= beam_size:
+            floor = sorted(row_bests, reverse=True)[beam_size - 1]
+            stats["below_floor"] += sum(score < floor for score, _, _ in candidates)
+            stats["row_best_ties"] += len(row_bests) - len(set(row_bests))
         candidates.sort(key=lambda item: (-item[0], item[1]))
-        ties += sum(a[0] == b[0] for a, b in zip(candidates[:beam_size], candidates[1:]))
+        stats["ties"] += sum(a[0] == b[0] for a, b in zip(candidates[:beam_size], candidates[1:]))
         live = []
         for log_prob, tokens, state in candidates[:beam_size]:
             if tokens[-1] == END_ID or len(tokens) == max_len:
@@ -193,7 +203,7 @@ def _reference_beam_search(model, features, beam_size, max_len):
             else:
                 live.append((tokens, log_prob, decoder.advance(state, tokens[-1])))
     pool.sort(key=lambda h: (-h[1], len(h[0]), h[0]))
-    return pool, ties
+    return pool, stats
 
 
 def _tie_heavy(model, out_proj):
@@ -201,34 +211,48 @@ def _tie_heavy(model, out_proj):
     ``zero-weight``: every state has the same distribution, so two orders of
     the same tokens tie exactly while their parents' scores differ.
     ``rounded``: output weights scaled by 0.1 and biases by 0.05, both rounded
-    to 0.1, so that many output rows repeat and their tokens tie exactly."""
+    to 0.1, so that many output rows repeat and their tokens tie exactly.
+    ``rounded-bias``: ``zero-weight`` with the biases of ``rounded``, so that
+    whole groups of hypotheses tie, and so do their best continuations."""
     weight, bias = model.out_proj.weight.data, model.out_proj.bias.data
-    if out_proj in ("zeroed", "zero-weight"):
+    if out_proj in ("zeroed", "zero-weight", "rounded-bias"):
         weight[...] = 0.0
     if out_proj == "zeroed":
         bias[...] = 0.0
     elif out_proj == "rounded":
         weight[...] = np.round(0.1 * weight, 1)
+    if out_proj in ("rounded", "rounded-bias"):
         bias[...] = np.round(0.05 * bias, 1)
     return model
 
 
 @pytest.mark.parametrize("lstm_layers", [1, 2])
-@pytest.mark.parametrize("out_proj", ["gaussian", "zeroed", "zero-weight", "rounded"])
+@pytest.mark.parametrize("out_proj",
+                         ["gaussian", "zeroed", "zero-weight", "rounded", "rounded-bias"])
 def test_beam_search_matches_tuple_sorting_reference(out_proj, lstm_layers):
-    vocab_size = 6
-    ties = 0
-    for seed in range(16):
+    # 6 tokens: exhaustive beams and tie-heavy boundaries; 240 tokens: 20 and
+    # more live hypotheses per round, where a round partitions only the
+    # candidates at or above the floor of the hypotheses' best continuations
+    small, large = 6, 240
+    cases = [(small, seed, beam, max_len) for seed in range(16)
+             for beam, max_len in ((1, 5), (3, 5), (20, 5), (small ** 3 + 1, 3))]
+    cases += [(large, seed, beam, max_len) for seed in range(3)
+              for beam, max_len in ((20, 4), (23, 3))]
+    stats = {small: Counter(), large: Counter()}
+    for vocab_size, seed, beam, max_len in cases:
         model = _tie_heavy(toy_generator(seed, vocab_size, lstm_layers), out_proj)
         features = np.random.default_rng(8000 + seed).normal(size=4)
-        for beam, max_len in ((1, 5), (3, 5), (20, 5), (vocab_size ** 3 + 1, 3)):
-            got = beam_search(model, features, beam_size=beam, max_len=max_len)
-            want, n = _reference_beam_search(model, features, beam, max_len)
-            ties += n
-            assert [(h.tokens, h.finished) for h in got] == [(t, f) for t, _, f in want]
-            assert max(abs(h.log_prob - lp) for h, (_, lp, _) in zip(got, want)) <= 1e-12
+        got = beam_search(model, features, beam_size=beam, max_len=max_len)
+        want, met = _reference_beam_search(model, features, beam, max_len)
+        stats[vocab_size] += met
+        assert [(h.tokens, h.finished) for h in got] == [(t, f) for t, _, f in want]
+        assert max(abs(h.log_prob - lp) for h, (_, lp, _) in zip(got, want)) <= 1e-12
     if out_proj != "gaussian":
-        assert ties >= 50, f"only {ties} ties in the kept candidates"
+        assert stats[small]["ties"] >= 50, f"only {stats[small]['ties']} ties in the kept candidates"
+    if out_proj != "zeroed":  # zeroed: every candidate scores the same
+        assert stats[large]["below_floor"] > 0
+    if out_proj in ("zero-weight", "rounded-bias"):
+        assert stats[large]["row_best_ties"] > 0
 
 
 def test_beam_search_steps_every_live_hypothesis_at_once(monkeypatch):

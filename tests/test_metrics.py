@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from reviewnet import oracles
 from reviewnet.errors import ConfigError, ContractError
-from reviewnet.metrics import (EvalPair, MetricReport, bleu, bleu_precisions,
-                               cider, meteor_lite, overall_accuracy,
+from reviewnet.metrics import (EvalPair, MetricReport, _lcs_length, bleu,
+                               bleu_precisions, cider, meteor_lite, overall_accuracy,
                                report_table, rouge_l, score_corpus)
 
 
@@ -124,6 +124,29 @@ def test_rouge_formula_hand_case():
     want = (1 + beta2) * precision * recall / (recall + beta2 * precision)
     assert rouge_l([pair]) == pytest.approx(want, abs=1e-12)
     assert rouge_l([pair]) == pytest.approx(oracles.rouge_l_oracle([pair]), abs=1e-12)
+
+
+# tokens of several types; equal values of different types (1, 1.0, True)
+# are one token, as they are for ==
+_MIXED_TOKENS = st.one_of(st.integers(0, 3), st.sampled_from(["a", "b", "1"]),
+                          st.sampled_from([0.5, 1.0, True]), st.tuples(st.integers(0, 1)))
+
+
+@seed(20261019)
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_MIXED_TOKENS, max_size=90), st.lists(_MIXED_TOKENS, max_size=90))
+def test_lcs_length_equals_the_lcs_table(a, b):
+    assert _lcs_length(a, b) == oracles._lcs_table(a, b)
+    assert _lcs_length(b, a) == oracles._lcs_table(a, b)
+
+
+@pytest.mark.parametrize("lengths", [(0, 0), (0, 5), (5, 0), (64, 64), (65, 3),
+                                     (130, 70), (200, 200)], ids=lambda n: "%dx%d" % n)
+def test_lcs_length_on_long_and_repetitive_sequences(lengths):
+    rng = np.random.default_rng(sum(lengths))
+    for vocab_size in (1, 2, 5, 50):
+        a, b = (rng.integers(0, vocab_size, size=n).tolist() for n in lengths)
+        assert _lcs_length(a, b) == oracles._lcs_table(a, b)
 
 
 def test_rouge_disjoint_tokens_score_zero():
@@ -255,6 +278,23 @@ def test_score_corpus_fills_all_caption_fields(rng):
     assert set(scores) == {"bleu_1", "bleu_2", "bleu_3", "bleu_4",
                            "rouge_l", "cider", "meteor_lite"}
     assert all(v is not None for v in scores.values())
+
+
+@pytest.mark.parametrize("corpus_seed", range(20))
+def test_score_corpus_equals_each_metric_on_fresh_pairs(corpus_seed):
+    # score_corpus shares each pair's n-gram counts among its metrics; every
+    # score must be the bits the metric gives on its own, on pairs never scored
+    def fresh():
+        return random_corpus(np.random.default_rng(300 + corpus_seed), vocab_size=12)
+
+    pairs = fresh()
+    scores = score_corpus(pairs)
+    want = {f"bleu_{n}": bleu(fresh(), n) for n in range(1, 5)}
+    want.update(rouge_l=rouge_l(fresh()), cider=cider(fresh()),
+                meteor_lite=meteor_lite(fresh()))
+    assert scores == want
+    assert score_corpus(pairs) == scores
+    assert pairs == fresh() and [hash(p) for p in pairs] == [hash(p) for p in fresh()]
 
 
 def test_eval_pair_requires_references():
