@@ -19,7 +19,7 @@ from .dataset import (FEATURES_MAGIC, MAX_CAPTION_LEN, ReviewExample, Vocabulary
                       build_vocab, load_dataset, read_payload, save_dataset,
                       synth_dataset, tokenize, write_atomic)
 from .errors import (ConfigError, ContractError, DataError, NumericError, ShapeError)
-from .inference import beam_search, predict_class, strip_end
+from .inference import beam_search, check_beam, predict_class, strip_end
 from .metrics import EvalPair, MetricReport, overall_accuracy, report_table, score_corpus
 from .model import ModelConfig, ReviewerModel, Variant, load_checkpoint, save_checkpoint
 from .tensor import (Tensor, add, backward, concat, conv2d, dropout, embedding_lookup, linear,
@@ -312,6 +312,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    check_beam(args.beam, args.max_len)
     _check_outputs(args.report, args.generations)
     ds = load_dataset(args.data)
     model = load_checkpoint(args.ckpt)
@@ -339,6 +340,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    check_beam(args.beam, args.max_len)
     _check_outputs(args.out)
     features = read_payload(args.features, FEATURES_MAGIC)
     vocab = Vocabulary.load(args.vocab)

@@ -39,6 +39,42 @@ def predict_class(model: ReviewerModel, inputs: np.ndarray) -> tuple[Label, floa
     return Label(pred), float(probs[pred])
 
 
+# The most scores one beam-search round may hold: a round keeps its [live, V]
+# float64 scores and a few arrays of that size, 64 MiB each at this bound
+MAX_ROUND_SCORES = 1 << 23
+
+
+def largest_round(beam_size: int, max_len: int, vocab_size: int) -> int:
+    """Scores in beam search's largest round, the last one: its live
+    hypotheses, min(beam_size, vocab_size ** (max_len - 1)), times vocab_size.
+
+    The power is taken one factor at a time, capped at ``beam_size``, so no
+    integer grows past beam_size * vocab_size; after beam_size.bit_length()
+    factors of at least 2 the cap holds for good.
+    """
+    rows = 1
+    for _ in range(min(max_len - 1, int(beam_size).bit_length())):
+        rows = min(beam_size, rows * vocab_size)
+    return rows * vocab_size
+
+
+def check_beam(beam_size: int, max_len: int, vocab_size: int | None = None) -> None:
+    """``ConfigError`` unless ``beam_size`` and ``max_len`` are at least 1 and,
+    given a vocabulary size, beam search's largest round holds at most
+    ``MAX_ROUND_SCORES`` scores."""
+    if beam_size < 1:
+        raise ConfigError(f"beam size must be >= 1, got {beam_size}")
+    if max_len < 1:
+        raise ConfigError(f"max_len must be >= 1, got {max_len}")
+    if vocab_size is None:
+        return
+    scores = largest_round(beam_size, max_len, vocab_size)
+    if scores > MAX_ROUND_SCORES:
+        raise ConfigError(f"beam size {beam_size} with max_len {max_len} over {vocab_size} "
+                          f"tokens scores {scores} candidates in one round; at most "
+                          f"{MAX_ROUND_SCORES} fit")
+
+
 def beam_search(model: ReviewerModel, inputs: np.ndarray, beam_size: int = 20,
                 max_len: int = MAX_CAPTION_LEN) -> list[Hypothesis]:
     """Length-synchronous beam search over raw summed log probabilities.
@@ -48,12 +84,10 @@ def beam_search(model: ReviewerModel, inputs: np.ndarray, beam_size: int = 20,
     finished ones (END emitted, or length cap reached) into the result pool.
     Continuations with equal log probability rank by their token ids,
     lexicographically. The pool comes back sorted by log probability, ties
-    broken by shorter length then by lexicographic token ids.
+    broken by shorter length then by lexicographic token ids. Sizes that
+    ``check_beam`` rejects raise ``ConfigError`` before any decoding.
     """
-    if beam_size < 1:
-        raise ConfigError(f"beam size must be >= 1, got {beam_size}")
-    if max_len < 1:
-        raise ConfigError(f"max_len must be >= 1, got {max_len}")
+    check_beam(beam_size, max_len, model.config.vocab_size)
     decoder = model.decoder(inputs)
     state = decoder.initial_state
     log_prob = np.zeros(1)
@@ -84,23 +118,31 @@ def beam_search(model: ReviewerModel, inputs: np.ndarray, beam_size: int = 20,
                 candidates.size - beam_size]
             kept = np.flatnonzero(scores >= bound)
         parents, toks = np.divmod(kept, decoder.vocab_size)
-        best = np.lexsort((toks, rank[parents], -scores[kept]))[:beam_size]
-        kept, parents, toks = kept[best], parents[best], toks[best]
+        log_prob = scores[kept]
+        best = np.lexsort((toks, rank[parents], -log_prob))[:beam_size]
+        parents, toks, log_prob = parents[best], toks[best], log_prob[best]
         tokens = np.concatenate([tokens[parents], toks[:, None]], axis=1)
-        done = (toks == END_ID) | (length == max_len)
-        pool.extend(Hypothesis(tuple(row), score, True)
-                    for row, score in zip(tokens[done].tolist(), scores[kept[done]].tolist()))
-        live = ~done
-        if not live.any():
+        if length == max_len:  # the length cap retires every kept continuation
+            _retire(pool, tokens, log_prob)
             break
-        parents, toks = parents[live], toks[live]
-        log_prob, tokens = scores[kept[live]], tokens[live]
-        order = np.lexsort((toks, rank[parents]))
-        rank = np.empty(len(toks), dtype=np.int64)
-        rank[order] = np.arange(len(toks))
+        done = toks == END_ID
+        if done.any():
+            _retire(pool, tokens[done], log_prob[done])
+            live = ~done
+            if not live.any():
+                break
+            parents, toks = parents[live], toks[live]
+            log_prob, tokens = log_prob[live], tokens[live]
+        # the inverse of the live set's lexicographic order
+        rank = np.lexsort((toks, rank[parents])).argsort()
         state = decoder.advance(state, parents, toks)
     pool.sort(key=lambda h: (-h.log_prob, len(h.tokens), h.tokens))
     return pool
+
+
+def _retire(pool: list[Hypothesis], tokens: np.ndarray, log_prob: np.ndarray) -> None:
+    pool.extend(Hypothesis(tuple(row), score, True)
+                for row, score in zip(tokens.tolist(), log_prob.tolist()))
 
 
 def greedy_decode(model: ReviewerModel, inputs: np.ndarray,

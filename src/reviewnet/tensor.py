@@ -143,9 +143,11 @@ def backward(loss: Tensor) -> None:
 def stable_sigmoid(z: np.ndarray) -> np.ndarray:
     """Logistic function without overflow for large negative inputs."""
     z = np.asarray(z, dtype=np.float64)
-    # exp(-|z|) is exp(-z) where z >= 0 and exp(z) elsewhere, and never overflows
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    # exp(-|z|) is exp(-z) where z >= 0 and exp(z) elsewhere, and never
+    # overflows; the quotient is 1 / (1 + e) on the first branch and
+    # e / (1 + e) on the second, so one division serves both
+    e = np.exp(np.copysign(z, -1.0))
+    return np.where(z >= 0, 1.0, e) / (e + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +363,9 @@ def lstm_cell(gates: np.ndarray, c: np.ndarray):
     backward pass needs.
     """
     hd = c.shape[-1]
-    i = stable_sigmoid(gates[..., :hd])
-    f = stable_sigmoid(gates[..., hd:2 * hd])
+    # the input and forget columns are adjacent: one sigmoid call for both
+    i_f = stable_sigmoid(gates[..., :2 * hd])
+    i, f = i_f[..., :hd], i_f[..., hd:]
     g = np.tanh(gates[..., 2 * hd:3 * hd])
     o = stable_sigmoid(gates[..., 3 * hd:])
     c = f * c + i * g
@@ -400,13 +403,12 @@ def lstm_sequence(x: Tensor, h0: Tensor | None, c0: Tensor | None, w_input: Tens
     xw = (xd.reshape(n * steps, width) @ wi.T).reshape(n, steps, 4 * hd) + b
     hs = np.empty((n, steps, hd))
     cs = np.empty((n, steps, hd))
-    acts = np.empty((5, n, steps, hd))  # i, f, g, o, tanh(c) per step
+    acts = []  # (i, f, g, o, tanh(c)) of every step, as lstm_cell returns them
     h, c = h_init, c_init
     for t in range(steps):
         h, c, step_acts = lstm_cell(xw[:, t] + h @ wh.T, c)
         hs[:, t], cs[:, t] = h, c
-        for k, a in enumerate(step_acts):
-            acts[k, :, t] = a
+        acts.append(step_acts)
     c_seen: list[np.ndarray] = []
 
     def grad_fn(gh: np.ndarray) -> None:
@@ -415,7 +417,7 @@ def lstm_sequence(x: Tensor, h0: Tensor | None, c0: Tensor | None, w_input: Tens
         dh = np.zeros((n, hd))
         dc = np.zeros((n, hd))
         for t in range(steps - 1, -1, -1):
-            i, f, g, o, tc = acts[:, :, t]
+            i, f, g, o, tc = acts[t]
             dh = dh + gh[:, t]
             if gc is not None:
                 dc = dc + gc[:, t]

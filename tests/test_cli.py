@@ -1,3 +1,4 @@
+import itertools
 import json
 import struct
 from pathlib import Path
@@ -5,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reviewnet import tensor
+from reviewnet import inference, tensor
 from reviewnet.cli import _primitive_cases, main
+from reviewnet.errors import ConfigError
 from reviewnet.dataset import FEATURES_MAGIC, RESERVED_TOKENS
 from reviewnet.model import load_checkpoint, save_checkpoint
 
@@ -346,3 +348,92 @@ def test_path_errors_exit_3_and_name_the_path(untrained, tmp_path, capsys, fault
     assert not list(tmp_path.rglob("*.tmp"))
     for path, content in previous.items():
         assert path.read_bytes() == content
+
+
+# ---------------------------------------------------------------------------
+# decode sizes: a beam or length below 1, and a beam whose largest round
+# cannot be held, are usage errors
+
+
+DECODE_SIZE_FAULTS = {
+    "evaluate-beam-0": ("evaluate", "--beam", 0),
+    "evaluate-beam-negative": ("evaluate", "--beam", -3),
+    "evaluate-max-len-0": ("evaluate", "--max-len", 0),
+    "evaluate-beam-0-max-len-0": ("evaluate", "--beam", 0, "--max-len", 0),
+    "generate-beam-0": ("generate", "--beam", 0),
+    "generate-max-len-negative": ("generate", "--max-len", -1),
+}
+
+
+def _decode_argv(command, data, ckpt, out):
+    if command == "evaluate":
+        return ["evaluate", "--data", data, "--ckpt", ckpt, "--report", out]
+    return ["generate", "--ckpt", ckpt, "--features", data / "features.bin",
+            "--vocab", data / "vocab.txt", "--out", out]
+
+
+@pytest.mark.parametrize("fault", DECODE_SIZE_FAULTS)
+def test_decode_sizes_below_one_exit_2_before_loading(tmp_path, capsys, fault):
+    # nothing exists at the data and checkpoint paths: loading would exit 3
+    command, *flags = DECODE_SIZE_FAULTS[fault]
+    argv = _decode_argv(command, tmp_path / "nowhere", tmp_path / "none.ckpt", tmp_path / "out")
+    assert run(*argv, *flags) == 2
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_iac_evaluate_rejects_beam_0_and_max_len_0(tmp_path, capsys):
+    # iac decodes nothing, so only the argument check can catch these
+    data, ckpt = tmp_path / "data", tmp_path / "iac.ckpt"
+    assert run("synth-data", "--seed", 3, "--n-images", 12, "--out", data) == 0
+    assert run("train", "--data", data, "--variant", "iac", "--epochs", 0,
+               "--out", ckpt, *TRAIN_FLAGS) == 0
+    assert run("evaluate", "--data", data, "--ckpt", ckpt, "--beam", 0, "--max-len", 0,
+               "--report", tmp_path / "r.json") == 2
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_largest_round_counts_the_last_round_without_huge_integers():
+    for beam, max_len, vocab in itertools.product((1, 2, 5, 20, 217, 10 ** 8), (1, 2, 3, 7),
+                                                  (4, 6, 46)):
+        want = min(beam, vocab ** (max_len - 1)) * vocab
+        assert inference.largest_round(beam, max_len, vocab) == want
+    # 10**100 rows of 923**(10**9 - 1): the count stops at the beam
+    assert inference.largest_round(10 ** 100, 10 ** 9, 923) == 10 ** 100 * 923
+    assert inference.largest_round(10 ** 100, 10 ** 9, 1) == 1
+
+
+BEAM_SIZES = {  # (beam, max_len, vocabulary size, fits)
+    "default-beam-1k-tokens": (20, 30, 923, True),
+    "one-round": (10 ** 8, 1, 46, True),
+    "one-row-then-46": (10 ** 8, 2, 46, True),
+    "at-the-bound": (2 ** 13, 3, 2 ** 10, True),
+    "one-row-over": (2 ** 13 + 1, 3, 2 ** 10, False),
+    "desk-beam-1e8": (10 ** 8, 30, 46, False),  # was OOM-killed on a desk checkpoint
+    "beam-1e100": (10 ** 100, 10 ** 9, 923, False),
+}
+
+
+@pytest.mark.parametrize("case", BEAM_SIZES)
+def test_check_beam_bounds_the_largest_round(case):
+    beam, max_len, vocab, fits = BEAM_SIZES[case]
+    assert inference.MAX_ROUND_SCORES == 2 ** 23
+    if fits:
+        inference.check_beam(beam, max_len, vocab)
+    else:
+        with pytest.raises(ConfigError, match="in one round"):
+            inference.check_beam(beam, max_len, vocab)
+
+
+def test_a_beam_over_the_bound_exits_2_with_no_output(untrained, tmp_path, capsys, monkeypatch):
+    # the bound lowered so that a small beam crosses it: if the check failed,
+    # decoding would run at this harmless size instead of a huge one
+    data, ckpt = untrained
+    vocab = len((data / "vocab.txt").read_text().splitlines())
+    monkeypatch.setattr(inference, "MAX_ROUND_SCORES", 4 * vocab)
+    for command in ("evaluate", "generate"):
+        out = tmp_path / f"{command}.out"
+        assert run(*_decode_argv(command, data, ckpt, out), "--beam", 5) == 2
+        assert "in one round" in capsys.readouterr().err
+        assert not out.exists()
+        assert run(*_decode_argv(command, data, ckpt, out), "--beam", 4) == 0

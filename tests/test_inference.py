@@ -255,7 +255,9 @@ def test_beam_search_matches_tuple_sorting_reference(out_proj, lstm_layers):
         assert stats[large]["row_best_ties"] > 0
 
 
-def test_beam_search_steps_every_live_hypothesis_at_once(monkeypatch):
+def _count_decoder_calls(monkeypatch):
+    """Counts of ``Decoder.log_probs`` and ``Decoder.advance`` calls, and the
+    rows of every state they were given."""
     calls, rows = Counter(), []
 
     def counted(name):
@@ -269,13 +271,79 @@ def test_beam_search_steps_every_live_hypothesis_at_once(monkeypatch):
 
     for name in ("log_probs", "advance"):
         monkeypatch.setattr(Decoder, name, counted(name))
+    return calls, rows
+
+
+def _end_biased(seed, vocab_size):
+    """A generator that never ends right after START and almost surely ends
+    after any word: with no recurrent weights and a shut forget gate, a step's
+    state follows its input token alone, and the END logit reads one hidden
+    unit that START drives negative and every word positive. START itself is
+    never emitted."""
+    model = toy_generator(seed, vocab_size)
+    cell = model.cells[0]
+    hd = cell.hidden_dim
+    cell.w_hidden.data[...] = 0.0
+    cell.w_input.data[...] = 0.0
+    cell.w_input.data[2 * hd:3 * hd, :4] = np.eye(hd, 4)  # candidate = the embedding
+    cell.bias.data[...] = 0.0
+    cell.bias.data[:hd] = cell.bias.data[3 * hd:] = 30.0  # input and output gates open
+    cell.bias.data[hd:2 * hd] = -30.0  # forget gate shut
+    table = model.embedding.table.data
+    table[:, 0] = 3.0
+    table[START_ID, 0] = -3.0
+    model.out_proj.weight.data[...] *= 0.3
+    model.out_proj.weight.data[END_ID] = 0.0
+    model.out_proj.weight.data[END_ID, 0] = 12.0
+    model.out_proj.weight.data[START_ID] = 0.0
+    model.out_proj.bias.data[START_ID] = -1e3
+    return model
+
+
+def _end_never_wins(seed, vocab_size):
+    """A generator whose END scores far below every other token."""
+    model = toy_generator(seed, vocab_size)
+    model.out_proj.weight.data[END_ID] = 0.0
+    model.out_proj.bias.data[END_ID] = -1e3
+    return model
+
+
+@pytest.mark.parametrize("generator", [_end_biased, _end_never_wins])
+def test_beam_search_edge_paths_match_reference_and_call_counts(monkeypatch, generator):
+    # _end_biased: every hypothesis ends in round 2, all kept continuations
+    # END, so the search stops before the cap; _end_never_wins: every
+    # hypothesis runs to the cap, where the last round retires them all.
+    # Either way a round makes one log_probs call and every round but the
+    # last one advance call.
+    calls, _ = _count_decoder_calls(monkeypatch)
+    vocab_size, max_len = 8, 5
+    for seed in range(6):
+        model = generator(seed, vocab_size)
+        features = np.random.default_rng(9000 + seed).normal(size=4)
+        for beam in (1, 2, 3, vocab_size - 2):  # fewer than the words
+            calls.clear()
+            got = beam_search(model, features, beam_size=beam, max_len=max_len)
+            rounds = 2 if generator is _end_biased else max_len
+            assert calls == {"log_probs": rounds, "advance": rounds - 1}
+            want, _ = _reference_beam_search(model, features, beam, max_len)
+            assert len(got) == beam
+            assert all(len(h.tokens) == rounds for h in got)
+            assert all((h.tokens[-1] == END_ID) == (generator is _end_biased) for h in got)
+            assert [(h.tokens, h.finished) for h in got] == [(t, f) for t, _, f in want]
+            assert max(abs(h.log_prob - lp) for h, (_, lp, _) in zip(got, want)) <= 1e-12
+
+
+def test_beam_search_steps_every_live_hypothesis_at_once(monkeypatch):
+    calls, rows = _count_decoder_calls(monkeypatch)
     model = toy_generator(5, vocab_size=30)
     max_len = 8
     for seed in range(3):
         calls.clear()
-        beam_search(model, np.random.default_rng(seed).normal(size=4), beam_size=20,
-                    max_len=max_len)
-        assert 1 <= calls["log_probs"] <= max_len and calls["advance"] <= max_len
+        pool = beam_search(model, np.random.default_rng(seed).normal(size=4), beam_size=20,
+                           max_len=max_len)
+        # the last round retires every kept continuation, so it made the longest
+        rounds = max(len(h.tokens) for h in pool)
+        assert calls == {"log_probs": rounds, "advance": rounds - 1}
     assert max(rows) == 20
 
 

@@ -244,6 +244,68 @@ def test_sigmoid_saturation_no_overflow():
     assert out[0] == 0.0 and out[1] == 1.0
 
 
+# Bitwise references: the two-branch sigmoid and the cell with one sigmoid
+# call per gate that ``stable_sigmoid`` and ``tensor.lstm_cell`` replaced,
+# which they must reproduce to the last bit so that trained weights and
+# decoded log probabilities keep their bytes.
+
+
+def _two_branch_sigmoid(z):
+    z = np.asarray(z, dtype=np.float64)
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _three_call_lstm_cell(gates, c):
+    hd = c.shape[-1]
+    i = _two_branch_sigmoid(gates[..., :hd])
+    f = _two_branch_sigmoid(gates[..., hd:2 * hd])
+    g = np.tanh(gates[..., 2 * hd:3 * hd])
+    o = _two_branch_sigmoid(gates[..., 3 * hd:])
+    c = f * c + i * g
+    tc = np.tanh(c)
+    return o * tc, c, (i, f, g, o, tc)
+
+
+_F64 = np.finfo(np.float64)
+EDGE_VALUES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0, -745.0, 800.0,
+                        -800.0, _F64.smallest_subnormal, -_F64.smallest_subnormal, 1e-310,
+                        -1e-310, _F64.tiny, -_F64.tiny, _F64.max, -_F64.max])
+
+
+def _cell_inputs(rng, rows, hd):
+    """Random [rows, 4H] gates and [rows, H] cells, then the same with edge
+    values scattered over both."""
+    gates = rng.normal(scale=4.0, size=(rows, 4 * hd))
+    c = rng.normal(size=(rows, hd))
+    yield gates, c
+    gates, c = gates.copy(), c.copy()
+    for a in (gates, c):
+        flat = a.reshape(-1)
+        flat[rng.integers(flat.size, size=max(1, flat.size // 3))] = rng.choice(
+            EDGE_VALUES, size=max(1, flat.size // 3))
+    yield gates, c
+
+
+def _bits(*arrays):
+    return [np.ascontiguousarray(a).tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("width", [1, 7, 32, 512])
+def test_sigmoid_and_cell_are_bit_identical_to_per_gate_references(width):
+    rng = np.random.default_rng(width)
+    for rows in (1, 3, 20):
+        z = rng.normal(scale=10.0, size=(rows, width))
+        assert _bits(stable_sigmoid(z)) == _bits(_two_branch_sigmoid(z))
+        for gates, c in _cell_inputs(rng, rows, width):
+            with np.errstate(invalid="ignore", over="ignore"):
+                h, c_new, acts = tensor.lstm_cell(gates, c)
+                want_h, want_c, want_acts = _three_call_lstm_cell(gates, c)
+            assert _bits(h, c_new, *acts) == _bits(want_h, want_c, *want_acts)
+    for edges in (EDGE_VALUES, EDGE_VALUES[:, None]):
+        assert _bits(stable_sigmoid(edges)) == _bits(_two_branch_sigmoid(edges))
+
+
 # ---------------------------------------------------------------------------
 # cross entropy
 
@@ -342,6 +404,76 @@ def test_lstm_sequence_padded_steps_move_no_valid_state_or_gradient(rng, reads_c
     noise = run(rng.normal(scale=1e3, size=(n, steps, width)))
     for a, b in zip(zeros, noise):
         assert a.tobytes() == b.tobytes()
+
+
+def _buffered_lstm_sequence(x, h0, c0, w_input, w_hidden, bias):
+    """The step loop ``lstm_sequence`` replaced: every step's activations are
+    copied into one [5, B, T, H] buffer, which the BPTT reads back."""
+    xd, wi, wh, b = x.data, w_input.data, w_hidden.data, bias.data
+    n, steps, width = xd.shape
+    hd = wh.shape[1]
+    h_init, c_init = h0.data, c0.data
+    xw = (xd.reshape(n * steps, width) @ wi.T).reshape(n, steps, 4 * hd) + b
+    hs = np.empty((n, steps, hd))
+    cs = np.empty((n, steps, hd))
+    acts = np.empty((5, n, steps, hd))
+    h, c = h_init, c_init
+    for t in range(steps):
+        h, c, step_acts = _three_call_lstm_cell(xw[:, t] + h @ wh.T, c)
+        hs[:, t], cs[:, t] = h, c
+        for k, a in enumerate(step_acts):
+            acts[k, :, t] = a
+    c_seen = []
+
+    def grad_fn(gh):
+        gc = c_seen[-1] if c_seen else None
+        dgates = np.empty((n, steps, 4 * hd))
+        dh = np.zeros((n, hd))
+        dc = np.zeros((n, hd))
+        for t in range(steps - 1, -1, -1):
+            i, f, g, o, tc = acts[:, :, t]
+            dh = dh + gh[:, t]
+            if gc is not None:
+                dc = dc + gc[:, t]
+            dc = dc + dh * o * (1.0 - tc * tc)
+            c_prev = cs[:, t - 1] if t else c_init
+            dg = dgates[:, t]
+            dg[:, :hd] = dc * g * i * (1.0 - i)
+            dg[:, hd:2 * hd] = dc * c_prev * f * (1.0 - f)
+            dg[:, 2 * hd:3 * hd] = dc * i * (1.0 - g * g)
+            dg[:, 3 * hd:] = dh * tc * o * (1.0 - o)
+            dc = dc * f
+            dh = dg @ wh
+        rows = dgates.reshape(n * steps, 4 * hd)
+        w_input.grad += rows.T @ xd.reshape(n * steps, width)
+        h_prev = np.concatenate([h_init[:, None], hs[:, :-1]], axis=1)
+        w_hidden.grad += rows.T @ h_prev.reshape(n * steps, hd)
+        bias.grad += rows.sum(axis=0)
+        x.grad += (rows @ wi).reshape(n, steps, width)
+        h0.grad += dh
+        c0.grad += dc
+
+    h_out = tensor._track(hs, (x, h0, c0, w_input, w_hidden, bias), grad_fn)
+    return h_out, tensor._track(cs, (h_out,), c_seen.append)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 3, 1), (3, 5, 4, 7), (8, 12, 32, 32), (2, 3, 16, 512)])
+@pytest.mark.parametrize("reads_cells", [True, False])
+def test_lstm_sequence_is_bit_identical_to_buffered_step_loop(shape, reads_cells):
+    n, steps, width, hd = shape
+    rng = np.random.default_rng(sum(shape) + reads_cells)
+    arrays = [rng.normal(size=s) for s in [(n, steps, width), (n, hd), (n, hd),
+                                           (4 * hd, width), (4 * hd, hd), 4 * hd]]
+    r_h, r_c = rng.normal(size=(2, n, steps, hd))
+    results = []
+    for op in (lstm_sequence, _buffered_lstm_sequence):
+        params = [Tensor(a, requires_grad=True) for a in arrays]
+        h, c = op(*params)
+        loss = sum_all(mul(h, Tensor(r_h)))
+        if reads_cells:
+            loss = add(loss, sum_all(mul(c, Tensor(r_c))))
+        results.append(_bits(h.data, c.data, *grad_of(loss, *params)))
+    assert results[0] == results[1]
 
 
 # ---------------------------------------------------------------------------
