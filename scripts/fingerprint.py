@@ -3,8 +3,6 @@
 
 Prints one line, ``<sha256>  <class>``, for each byte-identity class:
 
-  run-experiment     scripts/run_experiment.py: its data files and its stdout
-                     (the results table), with the per-variant seconds blanked
   criterion-8        the CLI pipeline of acceptance criterion 8: dataset,
                      vocabulary, checkpoint, metrics CSV, report, generations
   train              checkpoints and metrics CSVs of ``train`` (dropout on)
@@ -15,6 +13,9 @@ Prints one line, ``<sha256>  <class>``, for each byte-identity class:
   beam-pools         every beam pool (tokens, order, ``finished``, log-probs
                      as float hex) of the images perfbench/ evaluates, with
                      its untrained seeded models, at beams 1, 5 and 20
+  run-experiment     scripts/run_experiment.py, run in this process: its data
+                     files, results table, every trained parameter array and
+                     the repr of every epoch's losses
 
 Run it from the root of two checkouts with the same seed and compare the
 lines; any difference names the class that moved:
@@ -33,15 +34,14 @@ import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
-import re  # noqa: E402
-import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "scripts")]
 
+import run_experiment as experiment  # noqa: E402
 from reviewnet.cli import main as cli_main  # noqa: E402
 from reviewnet.inference import beam_search  # noqa: E402
 
@@ -78,12 +78,13 @@ def cli(*argv, work: Path) -> bytes:
 
 def run_experiment(seed: int, work: Path) -> str:
     out = work / "experiment"
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
-    stdout = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_experiment.py"), "--out", str(out),
-         "--seed", str(seed)], env=env, check=True, capture_output=True, text=True).stdout
-    stdout = re.sub(r" epochs in \d+\.\ds,", " epochs in <t>s,", stdout)
-    return digest([("stdout", stdout.encode("utf-8"))] + files_under(out, work))
+    runs = experiment.run(experiment.parse_args(["--out", str(out), "--seed", str(seed)]))
+    items = [("table", experiment.results_table(runs).encode("utf-8"))]
+    for r in runs:
+        items.append((f"{r.variant.value} losses", repr(r.result.log).encode("utf-8")))
+        items += [(f"{r.variant.value} {name}", p.data.tobytes())
+                  for name, p in sorted(r.model.params.items())]
+    return digest(items + files_under(out, work))
 
 
 def criterion_8(seed: int, work: Path) -> str:
@@ -163,6 +164,16 @@ def beam_pools(seed: int, work: Path) -> str:
     return digest(items)
 
 
+def fingerprints(seed: int, work: Path):
+    """Yield (class, sha256) for every class, in the order above, computed
+    under ``work`` one class at a time."""
+    yield "criterion-8", criterion_8(seed, work)
+    yield "train", digest(train_all(seed, work / "variants", work))
+    yield "evaluate-generate", evaluate_generate(work / "variants", work)
+    yield "beam-pools", beam_pools(seed, work)
+    yield "run-experiment", run_experiment(seed, work)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -171,12 +182,8 @@ def main() -> int:
     if args.seed < 0:
         parser.error("--seed must be >= 0")
     with tempfile.TemporaryDirectory(prefix="reviewnet-fingerprint-") as tmp:
-        work = Path(tmp)
-        print(f"{run_experiment(args.seed, work)}  run-experiment", flush=True)
-        print(f"{criterion_8(args.seed, work)}  criterion-8", flush=True)
-        print(f"{digest(train_all(args.seed, work / 'variants', work))}  train", flush=True)
-        print(f"{evaluate_generate(work / 'variants', work)}  evaluate-generate", flush=True)
-        print(f"{beam_pools(args.seed, work)}  beam-pools", flush=True)
+        for name, sha in fingerprints(args.seed, Path(tmp)):
+            print(f"{sha}  {name}", flush=True)
     return 0
 
 

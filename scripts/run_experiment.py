@@ -12,13 +12,28 @@ Example:
 import argparse
 import sys
 import time
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from reviewnet.cli import evaluate_examples
 from reviewnet.dataset import build_vocab, load_dataset, save_dataset, synth_dataset, tokenize
-from reviewnet.metrics import report_table
+from reviewnet.metrics import MetricReport, report_table
 from reviewnet.model import ModelConfig, ReviewerModel, Variant
-from reviewnet.trainer import TrainConfig, train, tune_alpha_beta
+from reviewnet.trainer import TrainConfig, TrainResult, train, tune_alpha_beta
+
+
+@dataclass
+class VariantRun:
+    """One variant as trained and evaluated: its training config (tuned
+    weights included), wall seconds, trained model, training result and
+    test-split report."""
+
+    variant: Variant
+    config: TrainConfig
+    seconds: float
+    model: ReviewerModel
+    result: TrainResult
+    report: MetricReport
 
 
 def prepare_data(out_dir: Path, seed: int, n_images: int, modality: str):
@@ -42,7 +57,7 @@ def model_for(variant: Variant, dataset, args) -> ReviewerModel:
     return ReviewerModel(variant, config, seed=args.seed)
 
 
-def main() -> int:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", required=True, help="working directory for data and checkpoints")
     parser.add_argument("--seed", type=int, default=7)
@@ -55,38 +70,52 @@ def main() -> int:
     parser.add_argument("--beam", type=int, default=20)
     parser.add_argument("--tune", action="store_true",
                         help="grid-search alpha/beta on validation for the multi-task variants")
-    args = parser.parse_args()
+    return parser.parse_args(argv)
 
+
+def run(args: argparse.Namespace) -> list[VariantRun]:
+    """Every variant trained and evaluated as ``args`` say, with the data
+    sets written under ``args.out``."""
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     features_ds = prepare_data(out_dir, args.seed, args.n_images, "features")
     images_ds = prepare_data(out_dir, args.seed + 1, args.n_images, "images")
 
-    rows = []
+    runs = []
     for variant in Variant:
         dataset = images_ds if variant is Variant.MT_BASELINE else features_ds
         epochs = args.encoder_epochs if variant is Variant.MT_BASELINE else args.epochs
         config = TrainConfig(epochs=epochs, batch_size=8, seed=args.seed)
         if args.tune and variant.multi_task:
-            from dataclasses import replace
-
             grid = [(a, b) for a in (0.25, 0.5, 1.0, 2.0) for b in (0.25, 0.5, 1.0, 2.0)]
             alpha, beta = tune_alpha_beta(lambda: model_for(variant, dataset, args),
                                           dataset, grid, replace(config, epochs=2))
             config = replace(config, alpha=alpha, beta=beta)
-            print(f"[{variant.value}] tuned alpha={alpha} beta={beta}")
 
         model = model_for(variant, dataset, args)
         started = time.time()
         result = train(model, dataset, config)
         outcome = evaluate_examples(model, dataset.split("test"), dataset.vocab,
                                     beam_size=args.beam)
-        print(f"[{variant.value}] {epochs} epochs in {time.time() - started:.1f}s, "
-              f"best valid loss {result.best_valid_loss:.4f}")
-        rows.append((variant.value, outcome.report))
+        runs.append(VariantRun(variant, config, time.time() - started, model, result,
+                               outcome.report))
+    return runs
 
+
+def results_table(runs: list[VariantRun]) -> str:
+    return report_table([(r.variant.value, r.report) for r in runs])
+
+
+def main() -> int:
+    args = parse_args()
+    runs = run(args)
+    for r in runs:
+        if args.tune and r.variant.multi_task:
+            print(f"[{r.variant.value}] tuned alpha={r.config.alpha} beta={r.config.beta}")
+        print(f"[{r.variant.value}] {r.config.epochs} epochs in {r.seconds:.1f}s, "
+              f"best valid loss {r.result.best_valid_loss:.4f}")
     print()
-    print(report_table(rows))
+    print(results_table(runs))
     return 0
 
 

@@ -131,7 +131,10 @@ class Vocabulary:
 
 
 def build_vocab(corpus: list[list[str]], min_count: int = 4) -> Vocabulary:
-    """Keep exactly the tokens appearing at least ``min_count`` times."""
+    """Keep exactly the tokens appearing at least ``min_count`` times; a
+    negative count is a ``ConfigError``."""
+    if min_count < 0:
+        raise ConfigError(f"min_count must be >= 0, got {min_count}")
     counts: Counter[str] = Counter()
     for tokens in corpus:
         counts.update(tokens)
@@ -230,12 +233,10 @@ def synth_dataset(seed: int, n_images: int, *, feature_dim: int = 16,
     rng = np.random.default_rng(seed)
     per_class = n_images // 2
 
+    # the classes alternate: example k is number k // 2 of class k % 2
     examples: list[ReviewExample] = []
-    class_positions: dict[Label, list[int]] = {Label.LOW: [], Label.HIGH: []}
     for k in range(n_images):
-        label = Label.LOW if k % 2 == 0 else Label.HIGH
-        pos = len(class_positions[label])
-        class_positions[label].append(k)
+        label, pos = Label(k % 2), k // 2
         if label is Label.LOW:
             score = float(rng.uniform(2.0, LABEL_PIVOT - LABEL_DELTA - 0.1))
             template = low_templates[pos % len(low_templates)]
@@ -257,17 +258,11 @@ def synth_dataset(seed: int, n_images: int, *, feature_dim: int = 16,
             ex.image = np.clip(base + rng.normal(0.0, 0.08, size=IMAGE_SHAPE), 0.0, 1.0)
         examples.append(ex)
 
+    n_train, n_valid, n_test = _split_sizes(per_class)
+    splits = ["train"] * n_train + ["valid"] * n_valid + ["test"] * n_test
     for label in (Label.LOW, Label.HIGH):
-        order = rng.permutation(per_class)
-        n_train, n_valid, _ = _split_sizes(per_class)
-        for rank, slot in enumerate(order):
-            idx = class_positions[label][slot]
-            if rank < n_train:
-                examples[idx].split = "train"
-            elif rank < n_train + n_valid:
-                examples[idx].split = "valid"
-            else:
-                examples[idx].split = "test"
+        for pos, split in zip(rng.permutation(per_class), splits):
+            examples[2 * pos + label].split = split
 
     return ReviewDataset(examples=examples, modality=modality)
 

@@ -19,8 +19,11 @@ from .tensor import _int_indices
 
 @dataclass(frozen=True)
 class Hypothesis:
-    """A caption: emitted token ids, their exact summed log probability, and
-    whether the sequence ended with END or hit the length cap."""
+    """A caption: emitted token ids and their exact summed log probability.
+
+    ``finished`` is always True, since a hypothesis enters a pool only when
+    it ends with END or reaches the length cap; it stays because perfbench's
+    ``_pool_failure`` and ``scripts/fingerprint.py`` read it."""
 
     tokens: tuple[int, ...]
     log_prob: float
@@ -59,20 +62,22 @@ def largest_round(beam_size: int, max_len: int, vocab_size: int) -> int:
 
 
 def check_beam(beam_size: int, max_len: int, vocab_size: int | None = None) -> None:
-    """``ConfigError`` unless ``beam_size`` and ``max_len`` are at least 1 and,
-    given a vocabulary size, beam search's largest round holds at most
-    ``MAX_ROUND_SCORES`` scores."""
+    """``ConfigError`` unless ``beam_size`` is at least 1, ``max_len`` is in
+    [1, ``MAX_CAPTION_LEN``] and, given a vocabulary size, beam search's
+    largest round holds at most ``MAX_ROUND_SCORES`` scores. The round is
+    checked before the length cap."""
     if beam_size < 1:
         raise ConfigError(f"beam size must be >= 1, got {beam_size}")
     if max_len < 1:
         raise ConfigError(f"max_len must be >= 1, got {max_len}")
-    if vocab_size is None:
-        return
-    scores = largest_round(beam_size, max_len, vocab_size)
-    if scores > MAX_ROUND_SCORES:
-        raise ConfigError(f"beam size {beam_size} with max_len {max_len} over {vocab_size} "
-                          f"tokens scores {scores} candidates in one round; at most "
-                          f"{MAX_ROUND_SCORES} fit")
+    if vocab_size is not None:
+        scores = largest_round(beam_size, max_len, vocab_size)
+        if scores > MAX_ROUND_SCORES:
+            raise ConfigError(f"beam size {beam_size} with max_len {max_len} over {vocab_size} "
+                              f"tokens scores {scores} candidates in one round; at most "
+                              f"{MAX_ROUND_SCORES} fit")
+    if max_len > MAX_CAPTION_LEN:
+        raise ConfigError(f"max_len must be at most {MAX_CAPTION_LEN}, got {max_len}")
 
 
 def beam_search(model: ReviewerModel, inputs: np.ndarray, beam_size: int = 20,
@@ -122,12 +127,11 @@ def beam_search(model: ReviewerModel, inputs: np.ndarray, beam_size: int = 20,
         best = np.lexsort((toks, rank[parents], -log_prob))[:beam_size]
         parents, toks, log_prob = parents[best], toks[best], log_prob[best]
         tokens = np.concatenate([tokens[parents], toks[:, None]], axis=1)
-        if length == max_len:  # the length cap retires every kept continuation
-            _retire(pool, tokens, log_prob)
-            break
-        done = toks == END_ID
+        # END retires a continuation, and the length cap retires all of them
+        done = (toks == END_ID) | (length == max_len)
         if done.any():
-            _retire(pool, tokens[done], log_prob[done])
+            pool.extend(Hypothesis(tuple(row), score, True)
+                        for row, score in zip(tokens[done].tolist(), log_prob[done].tolist()))
             live = ~done
             if not live.any():
                 break
@@ -138,11 +142,6 @@ def beam_search(model: ReviewerModel, inputs: np.ndarray, beam_size: int = 20,
         state = decoder.advance(state, parents, toks)
     pool.sort(key=lambda h: (-h.log_prob, len(h.tokens), h.tokens))
     return pool
-
-
-def _retire(pool: list[Hypothesis], tokens: np.ndarray, log_prob: np.ndarray) -> None:
-    pool.extend(Hypothesis(tuple(row), score, True)
-                for row, score in zip(tokens.tolist(), log_prob.tolist()))
 
 
 def greedy_decode(model: ReviewerModel, inputs: np.ndarray,

@@ -10,6 +10,8 @@ batch of one.
 
 from __future__ import annotations
 
+import io
+import math
 import struct
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -135,10 +137,10 @@ class ReviewerModel:
             self.cls_specific = feature_dense(cfg.specific_dim)
             self.gen_specific = feature_dense(cfg.specific_dim)
 
-        rep_cls_dim, rep_gen_dim = self._rep_dims()
+        rep_dim = self._rep_dim()
         self.classifier = None
         if self.variant.has_classifier:
-            self.classifier = Dense(2, rep_cls_dim, rng=rng)
+            self.classifier = Dense(2, rep_dim, rng=rng)
 
         self.embedding = None
         self.cells: list[LSTMCell] = []
@@ -151,8 +153,8 @@ class ReviewerModel:
                 for k in range(cfg.lstm_layers)
             ]
             self.out_proj = Dense(cfg.vocab_size, cfg.hidden_dim, rng=rng)
-            if rep_gen_dim != cfg.embed_dim:
-                self.gen_adapter = Dense(cfg.embed_dim, rep_gen_dim, rng=rng)
+            if rep_dim != cfg.embed_dim:
+                self.gen_adapter = Dense(cfg.embed_dim, rep_dim, rng=rng)
 
         # registration order is the order of the clip norm's sum and of the
         # gradient check's coordinate draws
@@ -166,14 +168,14 @@ class ReviewerModel:
             if layer is not None:
                 self.params.update(layer.named_params(prefix))
 
-    def _rep_dims(self) -> tuple[int, int]:
+    def _rep_dim(self) -> int:
+        """The width of both task representations."""
         cfg = self.config
         if self.variant is Variant.MODEL_I:
-            return cfg.shared_dim, cfg.shared_dim
+            return cfg.shared_dim
         if self.variant is Variant.MODEL_II:
-            width = cfg.specific_dim + cfg.shared_dim
-            return width, width
-        return cfg.feature_dim, cfg.feature_dim
+            return cfg.specific_dim + cfg.shared_dim
+        return cfg.feature_dim
 
     # -- forward ------------------------------------------------------------
 
@@ -220,21 +222,15 @@ class ReviewerModel:
         step the input, then the handoffs; at every later step the input, the
         handoffs, then the output (the image step predicts nothing, so it has
         no output dropout). Padding steps draw nothing and keep everything.
+        A boolean-mask assignment fills in C order, which is that order.
         """
         widths = [self.config.embed_dim] + [self.config.hidden_dim] * len(self.cells)
         offsets = np.cumsum([0] + widths)
-        width, image_step = int(offsets[-1]), int(offsets[-2])
-        # a row's draws fill two runs of its flattened [T, width] block: the
-        # image step's input and handoffs, then every later live step whole
-        later = ((steps - 1) * width).tolist()
-        draws = rng.random(len(later) * image_step + sum(later)) < keep
-        keeps = np.ones((len(later), int(steps.max()) * width), dtype=bool)
-        at = 0
-        for row, n in zip(keeps, later):
-            row[:image_step] = draws[at:at + image_step]
-            row[width:width + n] = draws[at + image_step:at + image_step + n]
-            at += image_step + n
-        keeps = keeps.reshape(len(later), -1, width)
+        live = np.arange(steps.max()) < steps[:, None]
+        drawn = np.repeat(live[..., None], offsets[-1], axis=2)
+        drawn[:, 0, offsets[-2]:] = False
+        keeps = np.ones(drawn.shape, dtype=bool)
+        keeps[drawn] = rng.random(int(drawn.sum())) < keep
         return [keeps[..., a:b] for a, b in zip(offsets[:-1], offsets[1:])]
 
     def _image_input(self, rep_gen: Tensor) -> Tensor:
@@ -366,14 +362,14 @@ class Decoder:
     """
 
     def __init__(self, model: ReviewerModel, image_input: np.ndarray):
-        self._layers = [(c.w_input.data, c.w_hidden.data, c.bias.data, c.hidden_dim)
-                        for c in model.cells]
+        self._layers = [(c.w_input.data, c.w_hidden.data, c.bias.data) for c in model.cells]
         w_input0 = self._layers[0][0]
         self._token_gates = model.embedding.table.data @ w_input0.T
         self._out_w = model.out_proj.weight.data
         self._out_b = model.out_proj.bias.data
         self.vocab_size = self._out_w.shape[0]
-        state = tuple((np.zeros((1, hd)), np.zeros((1, hd))) for *_, hd in self._layers)
+        state = tuple((np.zeros((1, wh.shape[1])), np.zeros((1, wh.shape[1])))
+                      for _, wh, _ in self._layers)
         state = self._step(state, image_input[None] @ w_input0.T)
         self.initial_state = self._step(state, self._token_gates[[START_ID]])
 
@@ -381,7 +377,7 @@ class Decoder:
         """``state`` stepped once on layer 0's projected input ``gates``
         [k, 4H], a fresh array that is summed into in place."""
         new = []
-        for (wi, wh, b, _), (h, c) in zip(self._layers, state):
+        for (wi, wh, b), (h, c) in zip(self._layers, state):
             if new:  # layers above 0 project the output of the layer below
                 gates = new[-1][0] @ wi.T
             # summed in place: two [k, 4H] arrays per layer instead of four,
@@ -431,41 +427,33 @@ def save_checkpoint(model: ReviewerModel, path: str | Path) -> None:
     write_atomic(path, bytes(buf))
 
 
-def _read_exact(raw: bytes, offset: int, size: int, path: Path) -> tuple[bytes, int]:
-    if offset + size > len(raw):
-        raise DataError(f"checkpoint {path} is truncated")
-    return raw[offset:offset + size], offset + size
-
-
 def load_checkpoint(path: str | Path) -> ReviewerModel:
     path = Path(path)
     if not path.exists():
         raise DataError(f"checkpoint not found: {path}")
     raw = path.read_bytes()
-    if raw[:len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+    stream = io.BytesIO(raw)
+
+    def read(size: int) -> bytes:
+        # checked before reading: a corrupt dims product may not fit a read size
+        if size > len(raw) - stream.tell():
+            raise DataError(f"checkpoint {path} is truncated")
+        return stream.read(size)
+
+    if stream.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
         raise DataError(f"{path} does not start with the {CHECKPOINT_MAGIC!r} magic")
-    offset = len(CHECKPOINT_MAGIC)
-    tag_bytes, offset = _read_exact(raw, offset, 1, path)
-    tag = tag_bytes[0]
+    tag = read(1)[0]
     if tag not in _TAG_VARIANTS:
         raise DataError(f"{path}: unknown variant tag {tag}")
     variant = _TAG_VARIANTS[tag]
 
     arrays: dict[str, np.ndarray] = {}
-    while offset < len(raw):
-        chunk, offset = _read_exact(raw, offset, 4, path)
-        name_len = struct.unpack("<I", chunk)[0]
-        chunk, offset = _read_exact(raw, offset, name_len, path)
-        name = chunk.decode("utf-8")
-        chunk, offset = _read_exact(raw, offset, 1, path)
-        rank = chunk[0]
-        dims = []
-        for _ in range(rank):
-            chunk, offset = _read_exact(raw, offset, 4, path)
-            dims.append(struct.unpack("<I", chunk)[0])
-        count = int(np.prod(dims, dtype=np.int64)) if dims else 1
-        chunk, offset = _read_exact(raw, offset, count * 8, path)
-        arrays[name] = np.frombuffer(chunk, dtype="<f8").reshape(dims).copy()
+    while stream.tell() < len(raw):
+        (name_len,) = struct.unpack("<I", read(4))
+        name = read(name_len).decode("utf-8")
+        rank = read(1)[0]
+        dims = struct.unpack(f"<{rank}I", read(4 * rank))
+        arrays[name] = np.frombuffer(read(8 * math.prod(dims)), dtype="<f8").reshape(dims).copy()
 
     config = _infer_config(variant, arrays, path)
     model = ReviewerModel(variant, config, seed=0)

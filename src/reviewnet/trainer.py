@@ -51,8 +51,9 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.max_caption_len < 1:
-            raise ConfigError(f"max_caption_len must be >= 1, got {self.max_caption_len}")
+        if not 1 <= self.max_caption_len <= MAX_CAPTION_LEN:
+            raise ConfigError(f"max_caption_len must be in [1, {MAX_CAPTION_LEN}], "
+                              f"got {self.max_caption_len}")
 
 
 @dataclass(frozen=True)

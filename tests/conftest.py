@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from reviewnet import oracles
-from reviewnet.model import ModelConfig, ReviewerModel, Variant
+from reviewnet.model import (CHECKPOINT_MAGIC, ModelConfig, ReviewerModel, Variant,
+                             save_checkpoint)
 
 TINY = dict(feature_dim=8, embed_dim=8, hidden_dim=8)
 
@@ -18,6 +19,29 @@ def tiny_model(variant, seed=0, vocab_size=10, **overrides):
         kwargs["specific_dim"] = 4
     kwargs.update(overrides)
     return ReviewerModel(variant, ModelConfig(vocab_size=vocab_size, **kwargs), seed=seed)
+
+
+def two_layer_model(variant, seed=0):
+    """Two LSTM layers at the smallest widths, for walking a checkpoint's bytes."""
+    return tiny_model(variant, seed=seed, vocab_size=5, feature_dim=3, embed_dim=2,
+                      hidden_dim=2, lstm_layers=2, shared_dim=2, specific_dim=1)
+
+
+def save_with_oversized_dims(model, path):
+    """Save ``model``, then set both dims of its first rank-2 record to
+    0xFFFFFFFF, so the record claims far more payload than a read can take."""
+    save_checkpoint(model, path)
+    raw = bytearray(path.read_bytes())
+    offset = len(CHECKPOINT_MAGIC) + 1
+    for name in sorted(model.params):
+        offset += 4 + len(name.encode("utf-8"))
+        array = model.params[name].data
+        if array.ndim == 2:
+            raw[offset + 1:offset + 9] = b"\xff" * 8
+            path.write_bytes(bytes(raw))
+            return
+        offset += 1 + 4 * array.ndim + 8 * array.size
+    raise AssertionError("the model has no rank-2 parameter")
 
 
 def randomize_params(model, rng, scale=1.0):

@@ -6,11 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import save_with_oversized_dims, two_layer_model
 from reviewnet import inference, tensor
 from reviewnet.cli import _primitive_cases, main
 from reviewnet.errors import ConfigError
 from reviewnet.dataset import FEATURES_MAGIC, RESERVED_TOKENS
-from reviewnet.model import load_checkpoint, save_checkpoint
+from reviewnet.model import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
 
 
 TRAIN_FLAGS = ["--embed-dim", "16", "--hidden-dim", "16", "--shared-dim", "8",
@@ -362,6 +363,8 @@ DECODE_SIZE_FAULTS = {
     "evaluate-beam-0-max-len-0": ("evaluate", "--beam", 0, "--max-len", 0),
     "generate-beam-0": ("generate", "--beam", 0),
     "generate-max-len-negative": ("generate", "--max-len", -1),
+    "evaluate-max-len-1e8": ("evaluate", "--max-len", 100000000),  # was killed after minutes
+    "generate-max-len-1e8": ("generate", "--max-len", 100000000),
 }
 
 
@@ -425,6 +428,18 @@ def test_check_beam_bounds_the_largest_round(case):
             inference.check_beam(beam, max_len, vocab)
 
 
+def test_check_beam_caps_max_len_at_the_caption_length():
+    assert inference.MAX_CAPTION_LEN == 30
+    inference.check_beam(20, 30)
+    inference.check_beam(20, 30, 923)
+    for vocab in (None, 923):
+        with pytest.raises(ConfigError, match="max_len must be at most 30, got 31"):
+            inference.check_beam(20, 31, vocab)
+    # with a vocabulary size the round bound is checked first
+    with pytest.raises(ConfigError, match="in one round"):
+        inference.check_beam(10 ** 8, 31, 46)
+
+
 def test_a_beam_over_the_bound_exits_2_with_no_output(untrained, tmp_path, capsys, monkeypatch):
     # the bound lowered so that a small beam crosses it: if the check failed,
     # decoding would run at this harmless size instead of a huge one
@@ -437,3 +452,62 @@ def test_a_beam_over_the_bound_exits_2_with_no_output(untrained, tmp_path, capsy
         assert "in one round" in capsys.readouterr().err
         assert not out.exists()
         assert run(*_decode_argv(command, data, ckpt, out), "--beam", 4) == 0
+
+
+def test_train_max_caption_len_over_the_bound_exits_2_keeping_outputs(untrained, tmp_path,
+                                                                       capsys):
+    data, ckpt = untrained
+    out, log = tmp_path / "m.ckpt", tmp_path / "m.csv"
+    out.write_bytes(ckpt.read_bytes())
+    log.write_bytes(b"earlier log\n")
+    argv = ["train", "--data", data, "--variant", "model1", "--epochs", 0, "--out", out,
+            "--log", log, *TRAIN_FLAGS]
+    assert run(*argv, "--max-caption-len", 31) == 2
+    assert "max_caption_len must be in [1, 30], got 31" in capsys.readouterr().err
+    assert out.read_bytes() == ckpt.read_bytes()
+    assert log.read_bytes() == b"earlier log\n"
+    assert run(*argv, "--max-caption-len", 30) == 0
+
+
+def test_build_vocab_negative_min_count_exits_2_keeping_vocab(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert run("synth-data", "--seed", 3, "--n-images", 12, "--out", data) == 0
+    assert run("build-vocab", "--data", data) == 0
+    before = (data / "vocab.txt").read_bytes()
+    assert run("build-vocab", "--data", data, "--min-count", -1) == 2
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert (data / "vocab.txt").read_bytes() == before
+
+
+@pytest.mark.parametrize("variant", ["iac", "v2l", "mt-baseline", "model1", "model2"])
+def test_truncated_checkpoints_exit_3(untrained, tmp_path, capsys, variant):
+    # cut at the end of the magic, the tag and each parameter record, and one
+    # byte past each; every proper prefix is checked against load_checkpoint
+    # in test_model.py
+    data, _ = untrained
+    model = two_layer_model(variant)
+    full, ckpt = tmp_path / "full.ckpt", tmp_path / "cut.ckpt"
+    save_checkpoint(model, full)
+    raw = full.read_bytes()
+    ends = [len(CHECKPOINT_MAGIC), len(CHECKPOINT_MAGIC) + 1]
+    for name in sorted(model.params):
+        array = model.params[name].data
+        ends.append(ends[-1] + 4 + len(name.encode()) + 1 + 4 * array.ndim + 8 * array.size)
+    assert ends[-1] == len(raw)
+    for size in sorted({0, *ends[:-1], *(end + 1 for end in ends[:-1])}):
+        ckpt.write_bytes(raw[:size])
+        assert run("generate", "--ckpt", ckpt, "--features", data / "features.bin",
+                   "--vocab", data / "vocab.txt") == 3
+        assert str(ckpt) in capsys.readouterr().err
+
+
+def test_checkpoint_with_oversized_dims_exits_3(untrained, tmp_path, capsys):
+    data, _ = untrained
+    ckpt, report = tmp_path / "big.ckpt", tmp_path / "r.json"
+    save_with_oversized_dims(two_layer_model("model1"), ckpt)
+    assert run("generate", "--ckpt", ckpt, "--features", data / "features.bin",
+               "--vocab", data / "vocab.txt") == 3
+    assert str(ckpt) in capsys.readouterr().err
+    assert run("evaluate", "--data", data, "--ckpt", ckpt, "--report", report) == 3
+    assert str(ckpt) in capsys.readouterr().err
+    assert not report.exists()

@@ -84,6 +84,12 @@ def test_build_vocab_empty_corpus_keeps_only_specials():
     assert vocab.id_to_token == list(RESERVED_TOKENS)
 
 
+def test_build_vocab_rejects_a_negative_min_count():
+    with pytest.raises(ConfigError, match="min_count must be >= 0, got -1"):
+        build_vocab([["a"]], min_count=-1)
+    assert build_vocab([["a"]], min_count=0).id_to_token == list(RESERVED_TOKENS) + ["a"]
+
+
 def test_build_vocab_orders_by_count_then_lexicographic():
     corpus = [["b"] * 5 + ["c"] * 5 + ["a"] * 7]
     vocab = build_vocab(corpus, min_count=4)

@@ -1,7 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
-from conftest import oracle_decoder, randomize_params, tiny_model
+from conftest import (oracle_decoder, randomize_params, save_with_oversized_dims, tiny_model,
+                      two_layer_model)
 from reviewnet import oracles
 from reviewnet.dataset import END_ID, START_ID
 from reviewnet.errors import ContractError, DataError, ShapeError
@@ -436,6 +439,23 @@ def test_checkpoint_rejects_corruption(tmp_path):
     save_checkpoint(model, non_finite)
     with pytest.raises(DataError, match="classifier.bias"):
         load_checkpoint(non_finite)
+
+
+@pytest.mark.parametrize("variant", ["iac", "v2l", "mt-baseline", "model1", "model2"])
+def test_every_proper_checkpoint_prefix_is_a_data_error(tmp_path, variant):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(two_layer_model(variant), path)
+    for size in reversed(range(path.stat().st_size)):
+        os.truncate(path, size)
+        with pytest.raises(DataError):
+            load_checkpoint(path)
+
+
+def test_checkpoint_with_oversized_dims_is_a_data_error(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_with_oversized_dims(two_layer_model("v2l"), path)
+    with pytest.raises(DataError, match="truncated"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_missing_file():
