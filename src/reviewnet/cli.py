@@ -98,15 +98,12 @@ def gradient_error(params: list[Tensor], build, *, sample: int,
 
     worst = 0.0
     for p, grad in zip(params, grads):
-        if p.data.size <= sample:
-            slopes = oracles.finite_diff_slopes(value, p.data)
-            worst = max(worst, oracles.subgradient_rel_error(grad, *slopes))
-        else:
-            flat_indices = rng.choice(p.data.size, size=sample, replace=False)
-            for flat in flat_indices:
-                idx = np.unravel_index(int(flat), p.data.shape)
-                slopes = oracles.finite_diff_slopes_at(value, p.data, idx, value0)
-                worst = max(worst, oracles.subgradient_rel_error(grad[idx], *slopes))
+        size = p.data.size
+        for flat in (range(size) if size <= sample
+                     else rng.choice(size, size=sample, replace=False)):
+            idx = np.unravel_index(int(flat), p.data.shape)
+            slopes = oracles.finite_diff_slopes_at(value, p.data, idx, value0)
+            worst = max(worst, oracles.subgradient_rel_error(grad[idx], *slopes))
     return worst
 
 

@@ -15,6 +15,7 @@ On-disk layout of a dataset directory:
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import uuid
@@ -126,8 +127,10 @@ class Vocabulary:
         path = Path(path)
         if not path.exists():
             raise DataError(f"vocabulary file not found: {path}")
-        tokens = path.read_text(encoding="utf-8").splitlines()
-        return cls(tokens)
+        try:
+            return cls(path.read_text(encoding="utf-8").splitlines())
+        except ValueError as exc:  # a byte that is not UTF-8, or a bad header or duplicate
+            raise DataError(f"{path}: {exc}") from None
 
 
 def build_vocab(corpus: list[list[str]], min_count: int = 4) -> Vocabulary:
@@ -314,7 +317,7 @@ def read_payload(path: str | Path, magic: bytes) -> np.ndarray:
     shape = struct.unpack_from(f"<{rank}I", raw, len(magic))
     if magic == IMAGES_MAGIC and shape[1:] != IMAGE_SHAPE:
         raise DataError(f"{path}: unexpected image dims {shape[1:]}")
-    expected = int(np.prod(shape, dtype=np.int64)) * 8
+    expected = 8 * math.prod(shape)  # Python ints: 0xFFFFFFFF dims cannot wrap
     if len(raw) - offset != expected:
         raise DataError(f"{path}: expected {expected} payload bytes, found {len(raw) - offset}")
     payload = np.frombuffer(raw, dtype="<f8", offset=offset).reshape(shape).copy()
@@ -337,42 +340,45 @@ def load_dataset(data_dir: str | Path) -> ReviewDataset:
     payload = (read_payload(features_path, FEATURES_MAGIC) if modality == "features"
                else read_payload(images_path, IMAGES_MAGIC))
 
+    raw = manifest.read_bytes()
+    try:
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{manifest}:{line}: {exc}") from None
     examples: list[ReviewExample] = []
     seen_ids: set[str] = set()
-    for lineno, line in enumerate(manifest.read_text(encoding="utf-8").splitlines()):
+    for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{manifest}:{lineno + 1}: invalid JSON ({exc})") from None
-        try:
-            label = {"low": Label.LOW, "high": Label.HIGH}[obj["label"]]
+            if not isinstance(obj, dict):
+                raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+            if obj["label"] not in ("low", "high"):
+                raise ValueError(f"unknown label {obj['label']!r}")
             ex = ReviewExample(
                 example_id=str(obj["id"]),
                 score=float(obj["score"]),
-                label=label,
+                label=Label.LOW if obj["label"] == "low" else Label.HIGH,
                 split=str(obj["split"]),
                 comments=obj["comments"],
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{manifest}:{lineno + 1}: missing or malformed field ({exc})") from None
-        if not (isinstance(ex.comments, list) and ex.comments
-                and all(isinstance(c, str) for c in ex.comments)):
-            raise DataError(f"{manifest}:{lineno + 1}: comments must be a non-empty list of "
-                            f"strings, got {ex.comments!r}")
-        if ex.example_id in seen_ids:
-            raise DataError(f"{manifest}:{lineno + 1}: duplicate example id {ex.example_id!r}")
+            if not (isinstance(ex.comments, list) and ex.comments
+                    and all(isinstance(c, str) for c in ex.comments)):
+                raise ValueError(f"comments must be a non-empty list of strings, "
+                                 f"got {ex.comments!r}")
+            if ex.example_id in seen_ids:
+                raise ValueError(f"duplicate example id {ex.example_id!r}")
+            if ex.split not in SPLITS:
+                raise ValueError(f"unknown split {ex.split!r}")
+            if label_from_score(ex.score) is not ex.label:
+                raise ValueError(f"label {ex.label.name} inconsistent with score {ex.score}")
+        except KeyError as exc:
+            raise DataError(f"{manifest}:{lineno}: missing {exc} field") from None
+        except (TypeError, ValueError, OverflowError, RecursionError) as exc:
+            raise DataError(f"{manifest}:{lineno}: {exc}") from None
         seen_ids.add(ex.example_id)
-        if ex.split not in SPLITS:
-            raise DataError(f"{manifest}:{lineno + 1}: unknown split {ex.split!r}")
-        try:
-            expected = label_from_score(ex.score)
-        except ValueError as exc:
-            raise DataError(f"{manifest}:{lineno + 1}: {exc}") from None
-        if expected is not ex.label:
-            raise DataError(
-                f"{manifest}:{lineno + 1}: label {ex.label.name} inconsistent with score {ex.score}")
         examples.append(ex)
 
     if not examples:

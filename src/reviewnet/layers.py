@@ -26,8 +26,6 @@ class Dense:
 
     def __init__(self, out_dim: int, in_dim: int, *, rng: np.random.Generator,
                  bias: bool = True):
-        self.out_dim = out_dim
-        self.in_dim = in_dim
         self.weight = uniform_param(rng, (out_dim, in_dim))
         self.bias = uniform_param(rng, (out_dim,)) if bias else None
 
@@ -46,8 +44,6 @@ class EmbeddingTable:
     """Token id to dense vector lookup over a [vocab, dim] table."""
 
     def __init__(self, vocab_size: int, embed_dim: int, *, rng: np.random.Generator):
-        self.vocab_size = vocab_size
-        self.embed_dim = embed_dim
         self.table = uniform_param(rng, (vocab_size, embed_dim))
 
     def __call__(self, token_id) -> Tensor:
@@ -111,7 +107,6 @@ class TinyConvEncoder:
     _FLAT = 16 * 6 * 6
 
     def __init__(self, out_dim: int = 64, *, rng: np.random.Generator):
-        self.out_dim = out_dim
         self.conv1_kernels = uniform_param(rng, (8, 3, 3, 3))
         self.conv1_bias = uniform_param(rng, (8,))
         self.conv2_kernels = uniform_param(rng, (16, 8, 3, 3))

@@ -329,7 +329,8 @@ class ReviewerModel:
 
     def load_param_state(self, state: dict[str, np.ndarray]) -> None:
         if set(state) != set(self.params):
-            raise ContractError("parameter state does not match this model's parameter names")
+            raise ContractError(f"parameter names do not match this model's layout: "
+                                f"{sorted(set(state) ^ set(self.params))}")
         for name, arr in state.items():
             p = self.params[name]
             if p.data.shape != arr.shape:
@@ -437,63 +438,58 @@ def load_checkpoint(path: str | Path) -> ReviewerModel:
     def read(size: int) -> bytes:
         # checked before reading: a corrupt dims product may not fit a read size
         if size > len(raw) - stream.tell():
-            raise DataError(f"checkpoint {path} is truncated")
+            raise ValueError("the checkpoint is truncated")
         return stream.read(size)
 
-    if stream.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
-        raise DataError(f"{path} does not start with the {CHECKPOINT_MAGIC!r} magic")
-    tag = read(1)[0]
-    if tag not in _TAG_VARIANTS:
-        raise DataError(f"{path}: unknown variant tag {tag}")
-    variant = _TAG_VARIANTS[tag]
-
-    arrays: dict[str, np.ndarray] = {}
-    while stream.tell() < len(raw):
-        (name_len,) = struct.unpack("<I", read(4))
-        name = read(name_len).decode("utf-8")
-        rank = read(1)[0]
-        dims = struct.unpack(f"<{rank}I", read(4 * rank))
-        arrays[name] = np.frombuffer(read(8 * math.prod(dims)), dtype="<f8").reshape(dims).copy()
-
-    config = _infer_config(variant, arrays, path)
-    model = ReviewerModel(variant, config, seed=0)
-    if set(model.params) != set(arrays):
-        missing = set(model.params) ^ set(arrays)
-        raise DataError(f"{path}: parameter names do not match the {variant.value} layout ({missing})")
-    for name, arr in arrays.items():
-        if model.params[name].data.shape != arr.shape:
-            raise DataError(f"{path}: parameter {name} has shape {arr.shape}, "
-                            f"expected {model.params[name].data.shape}")
-        if not np.isfinite(arr).all():
-            raise DataError(f"{path}: parameter {name} contains non-finite values")
-        model.params[name].data[...] = arr
+    # every parse failure below, from a record, a name's bytes or the layout
+    # they describe, is a data error naming the file
+    try:
+        if stream.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+            raise ValueError(f"does not start with the {CHECKPOINT_MAGIC!r} magic")
+        tag = read(1)[0]
+        if tag not in _TAG_VARIANTS:
+            raise ValueError(f"unknown variant tag {tag}")
+        variant = _TAG_VARIANTS[tag]
+        arrays: dict[str, np.ndarray] = {}
+        while stream.tell() < len(raw):
+            (name_len,) = struct.unpack("<I", read(4))
+            name = read(name_len).decode("utf-8")
+            rank = read(1)[0]
+            dims = struct.unpack(f"<{rank}I", read(4 * rank))
+            arrays[name] = np.frombuffer(read(8 * math.prod(dims)), "<f8").reshape(dims).copy()
+            if not np.isfinite(arrays[name]).all():
+                raise ValueError(f"parameter {name} contains non-finite values")
+        model = ReviewerModel(variant, _infer_config(variant, arrays), seed=0)
+        model.load_param_state(arrays)
+    except KeyError as exc:
+        raise DataError(f"{path}: the checkpoint is missing parameter {exc}") from None
+    except (IndexError, ValueError) as exc:
+        raise DataError(f"{path}: {exc}") from None
     return model
 
 
-def _infer_config(variant: Variant, arrays: dict[str, np.ndarray], path: Path) -> ModelConfig:
-    try:
-        if "embedding.table" in arrays:
-            vocab_size, embed_dim = arrays["embedding.table"].shape
-            hidden_dim = arrays["lstm0.w_hidden"].shape[1]
-            lstm_layers = sum(1 for name in arrays if name.endswith(".w_hidden"))
-        else:
-            vocab_size, embed_dim, hidden_dim, lstm_layers = 4, 512, 512, 1
+def _infer_config(variant: Variant, arrays: dict[str, np.ndarray]) -> ModelConfig:
+    """The widths that ``arrays`` imply; a missing parameter is a KeyError."""
+    if "embedding.table" in arrays:
+        vocab_size, embed_dim = arrays["embedding.table"].shape
+        hidden_dim = arrays["lstm0.w_hidden"].shape[1]
+        lstm_layers = sum(1 for name in arrays if name.endswith(".w_hidden"))
+    else:
+        vocab_size, embed_dim, hidden_dim, lstm_layers = 4, 512, 512, 1
 
-        if variant is Variant.MT_BASELINE:
-            feature_dim = arrays["encoder.fc.weight"].shape[0]
-        elif variant in (Variant.MODEL_I, Variant.MODEL_II):
-            feature_dim = arrays["shared.weight"].shape[1]
-        elif variant is Variant.IAC:
-            feature_dim = arrays["classifier.weight"].shape[1]
-        else:  # V2L: the adapter reveals the width; without one it equals embed_dim
-            feature_dim = (arrays["gen_adapter.weight"].shape[1]
-                           if "gen_adapter.weight" in arrays else embed_dim)
+    if variant is Variant.MT_BASELINE:
+        feature_dim = arrays["encoder.fc.weight"].shape[0]
+    elif variant in (Variant.MODEL_I, Variant.MODEL_II):
+        feature_dim = arrays["shared.weight"].shape[1]
+    elif variant is Variant.IAC:
+        feature_dim = arrays["classifier.weight"].shape[1]
+    else:  # V2L: the adapter reveals the width; without one it equals embed_dim
+        feature_dim = (arrays["gen_adapter.weight"].shape[1]
+                       if "gen_adapter.weight" in arrays else embed_dim)
 
-        shared_dim = arrays["shared.weight"].shape[0] if "shared.weight" in arrays else None
-        specific_dim = (arrays["cls_specific.weight"].shape[0]
-                        if "cls_specific.weight" in arrays else None)
-    except KeyError as exc:
-        raise DataError(f"{path}: checkpoint is missing parameter {exc}") from None
+    shared_dim = arrays["shared.weight"].shape[0] if "shared.weight" in arrays else None
+    specific_dim = (arrays["cls_specific.weight"].shape[0]
+                    if "cls_specific.weight" in arrays else None)
     return ModelConfig(vocab_size=vocab_size, feature_dim=feature_dim, embed_dim=embed_dim,
                        hidden_dim=hidden_dim, shared_dim=shared_dim, specific_dim=specific_dim,
                        lstm_layers=lstm_layers)

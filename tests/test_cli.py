@@ -1,5 +1,6 @@
 import itertools
 import json
+import shutil
 import struct
 from pathlib import Path
 
@@ -9,8 +10,9 @@ import pytest
 from conftest import save_with_oversized_dims, two_layer_model
 from reviewnet import inference, tensor
 from reviewnet.cli import _primitive_cases, main
-from reviewnet.errors import ConfigError
-from reviewnet.dataset import FEATURES_MAGIC, RESERVED_TOKENS
+from reviewnet.errors import ConfigError, DataError
+from reviewnet.dataset import (FEATURES_MAGIC, RESERVED_TOKENS, load_dataset, save_dataset,
+                              synth_dataset)
 from reviewnet.model import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
 
 
@@ -511,3 +513,104 @@ def test_checkpoint_with_oversized_dims_exits_3(untrained, tmp_path, capsys):
     assert run("evaluate", "--data", data, "--ckpt", ckpt, "--report", report) == 3
     assert str(ckpt) in capsys.readouterr().err
     assert not report.exists()
+
+
+# ---------------------------------------------------------------------------
+# reader faults: a malformed byte in any input file is a data error that
+# names the file, and the line for the manifest
+
+
+def _rewrite(edit):
+    return lambda path: path.write_bytes(edit(path.read_bytes()))
+
+
+def _line_2(edit):
+    """Rewrites the second line of a text file through ``edit``."""
+    def edit_lines(raw):
+        lines = raw.split(b"\n")
+        lines[1] = edit(lines[1])
+        return b"\n".join(lines)
+    return _rewrite(edit_lines)
+
+
+def _resave(arrays):
+    """Re-saves a checkpoint with the parameters named in ``arrays`` replaced."""
+    def corrupt(path):
+        model = load_checkpoint(path)
+        for name, value in arrays.items():
+            model.params[name].data = value
+        save_checkpoint(model, path)
+    return corrupt
+
+
+def _images_with_huge_count(path):
+    save_dataset(synth_dataset(3, 12, modality="images"), path.parent)
+    _rewrite(lambda raw: raw[:6] + b"\xff" * 4 + raw[10:])(path)
+
+
+READER_FAULTS = {  # fault: (corrupted file, corruption, what the message adds to the path)
+    "manifest-nested-lists": ("data/manifest.jsonl", _line_2(lambda line: b"[" * 200_000), ":2: "),
+    "manifest-nested-objects": (
+        "data/manifest.jsonl",
+        _line_2(lambda line: b'{"a": ' * 100_000 + b"1" + b"}" * 100_000), ":2: "),
+    "manifest-0xff-in-comment": (
+        "data/manifest.jsonl",
+        _line_2(lambda line: line.replace(b'"comments": ["', b'"comments": ["\xff')), ":2: "),
+    "manifest-line-is-a-list": ("data/manifest.jsonl", _line_2(lambda line: b"[" + line + b"]"),
+                                ":2: expected a JSON object"),
+    "manifest-line-is-a-number": ("data/manifest.jsonl", _line_2(lambda line: b"7"),
+                                  ":2: expected a JSON object"),
+    "manifest-score-beyond-a-float": (
+        "data/manifest.jsonl",
+        _line_2(lambda line: line.replace(b'"score": ', b'"score": 1' + b"0" * 400 + b', "s": ')),
+        ":2: "),
+    "vocab-0xff-in-token": ("data/vocab.txt",
+                            _rewrite(lambda raw: raw.replace(b"<UNK>\n", b"<UNK>\n\xff", 1)), ": "),
+    # 8 * 0xFFFFFFFF**2 payload bytes: int64 arithmetic would wrap this count
+    "features-oversized-dims": ("data/features.bin",
+                                _rewrite(lambda raw: raw[:6] + b"\xff" * 8 + raw[14:]),
+                                f": expected {8 * 0xFFFFFFFF ** 2} payload bytes"),
+    "images-oversized-count": ("data/images.bin", _images_with_huge_count, ": expected"),
+    "checkpoint-0xff-in-name": ("m1.ckpt",
+                                _rewrite(lambda raw: raw[:14] + b"\xff" + raw[15:]), ": "),
+    "checkpoint-rank-1-hidden-weights": ("m1.ckpt",
+                                         _resave({"lstm0.w_hidden": np.zeros(16)}), ": "),
+    "checkpoint-two-token-vocabulary": ("m1.ckpt",
+                                        _resave({"embedding.table": np.zeros((2, 16))}), ": "),
+}
+
+
+@pytest.mark.parametrize("fault", READER_FAULTS)
+def test_reader_faults_are_data_errors_naming_the_file(untrained, tmp_path, capsys, fault):
+    name, corrupt, detail = READER_FAULTS[fault]
+    data, ckpt = tmp_path / "data", tmp_path / "m1.ckpt"
+    shutil.copytree(untrained[0], data)
+    shutil.copyfile(untrained[1], ckpt)
+    bad = tmp_path / name
+    corrupt(bad)
+    expected = f"{bad}{detail}"
+
+    on_checkpoint = bad == ckpt
+    with pytest.raises(DataError) as info:
+        load_checkpoint(ckpt) if on_checkpoint else load_dataset(data)
+    assert expected in str(info.value)
+
+    out, log, report, generations = (tmp_path / n for n in ("o.ckpt", "o.csv", "r.json", "g.txt"))
+    previous = {out: b"earlier checkpoint", log: b"earlier log\n", report: b"{}\n",
+                generations: b"earlier captions\n"}
+    for path, content in previous.items():
+        path.write_bytes(content)
+    commands = [["evaluate", "--data", data, "--ckpt", ckpt, "--beam", 2, "--report", report,
+                 "--generations", generations]]
+    if not on_checkpoint:
+        commands.append(["train", "--data", data, "--variant", "model1", "--epochs", 1,
+                         "--out", out, "--log", log, *TRAIN_FLAGS])
+    for argv in commands:
+        capsys.readouterr()
+        assert run(*argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("data error:") and expected in captured.err
+        assert "Traceback" not in captured.out + captured.err
+    assert not list(tmp_path.rglob("*.tmp"))
+    for path, content in previous.items():
+        assert path.read_bytes() == content
