@@ -38,7 +38,7 @@ class Variant(str, Enum):
 
     @property
     def multi_task(self) -> bool:
-        return self in (Variant.MT_BASELINE, Variant.MODEL_I, Variant.MODEL_II)
+        return self.has_classifier and self.has_generator
 
     @property
     def has_classifier(self) -> bool:
@@ -49,14 +49,13 @@ class Variant(str, Enum):
         return self is not Variant.IAC
 
 
-_VARIANT_TAGS = {
-    Variant.IAC: 0,
-    Variant.V2L: 1,
-    Variant.MT_BASELINE: 2,
-    Variant.MODEL_I: 3,
-    Variant.MODEL_II: 4,
+# The representation layers a variant has, as the default width of each:
+# ``shared_dim`` builds the shared layer, ``specific_dim`` the two
+# task-specific ones. Every other variant hands its features straight on.
+_REPRESENTATION_WIDTHS = {
+    Variant.MODEL_I: {"shared_dim": 512},
+    Variant.MODEL_II: {"shared_dim": 256, "specific_dim": 256},
 }
-_TAG_VARIANTS = {v: k for k, v in _VARIANT_TAGS.items()}
 
 
 @dataclass
@@ -67,6 +66,7 @@ class ModelConfig:
     tiny encoder's output width for the trainable-encoder baseline.
     ``shared_dim`` defaults to 512 for the shared-layer variant and to 256
     when task-specific layers are present; ``specific_dim`` defaults to 256.
+    A variant without the layer ignores its width.
     """
 
     vocab_size: int
@@ -79,19 +79,10 @@ class ModelConfig:
 
 
 def _resolve_config(variant: Variant, config: ModelConfig) -> ModelConfig:
-    shared = config.shared_dim
-    specific = config.specific_dim
-    if variant is Variant.MODEL_I and shared is None:
-        shared = 512
-    if variant is Variant.MODEL_II:
-        if shared is None:
-            shared = 256
-        if specific is None:
-            specific = 256
-    resolved = replace(config, shared_dim=shared, specific_dim=specific)
-    used = {Variant.MODEL_I: ("shared_dim",),
-            Variant.MODEL_II: ("shared_dim", "specific_dim")}.get(variant, ())
-    for name in ("feature_dim", "embed_dim", "hidden_dim", "lstm_layers", *used):
+    widths = _REPRESENTATION_WIDTHS.get(variant, {})
+    resolved = replace(config, **{name: default for name, default in widths.items()
+                                  if getattr(config, name) is None})
+    for name in ("feature_dim", "embed_dim", "hidden_dim", "lstm_layers", *widths):
         if getattr(resolved, name) < 1:
             raise ConfigError(f"{name} must be positive, got {getattr(resolved, name)}")
     if variant.has_generator and resolved.vocab_size < 4:
@@ -129,15 +120,19 @@ class ReviewerModel:
         if self.variant is Variant.MT_BASELINE:
             self.encoder = TinyConvEncoder(cfg.feature_dim, rng=rng)
 
+        widths = _REPRESENTATION_WIDTHS.get(self.variant, {})
         self.shared = self.cls_specific = self.gen_specific = None
-        if self.variant is Variant.MODEL_I:
+        if "shared_dim" in widths:
             self.shared = feature_dense(cfg.shared_dim)
-        elif self.variant is Variant.MODEL_II:
-            self.shared = feature_dense(cfg.shared_dim)
+        if "specific_dim" in widths:
             self.cls_specific = feature_dense(cfg.specific_dim)
             self.gen_specific = feature_dense(cfg.specific_dim)
 
-        rep_dim = self._rep_dim()
+        # the width of both task representations
+        rep_dim = cfg.feature_dim
+        if self.shared is not None:
+            rep_dim = sum(layer.weight.data.shape[0]
+                          for layer in (self.cls_specific, self.shared) if layer is not None)
         self.classifier = None
         if self.variant.has_classifier:
             self.classifier = Dense(2, rep_dim, rng=rng)
@@ -168,15 +163,6 @@ class ReviewerModel:
             if layer is not None:
                 self.params.update(layer.named_params(prefix))
 
-    def _rep_dim(self) -> int:
-        """The width of both task representations."""
-        cfg = self.config
-        if self.variant is Variant.MODEL_I:
-            return cfg.shared_dim
-        if self.variant is Variant.MODEL_II:
-            return cfg.specific_dim + cfg.shared_dim
-        return cfg.feature_dim
-
     # -- forward ------------------------------------------------------------
 
     def image_representation(self, inputs: np.ndarray) -> Tensor:
@@ -196,14 +182,13 @@ class ReviewerModel:
             raise ShapeError(
                 f"representation input of shape {v.data.shape} does not match feature width "
                 f"{self.config.feature_dim}")
-        if self.variant is Variant.MODEL_I:
-            e = relu(self.shared(v))
-            return e, e
-        if self.variant is Variant.MODEL_II:
-            s = relu(self.shared(v))
-            return (concat([relu(self.cls_specific(v)), s]),
-                    concat([relu(self.gen_specific(v)), s]))
-        return v, v
+        if self.shared is None:
+            return v, v
+        s = relu(self.shared(v))
+        if self.cls_specific is None:
+            return s, s
+        return (concat([relu(self.cls_specific(v)), s]),
+                concat([relu(self.gen_specific(v)), s]))
 
     def example_representation(self, inputs: np.ndarray) -> tuple[Tensor, Tensor]:
         """Task representations of one example, each one vector."""
@@ -316,10 +301,6 @@ class ReviewerModel:
 
     # -- parameters ----------------------------------------------------------
 
-    def trainable_parameters(self) -> dict[str, Tensor]:
-        """Every named parameter; frozen feature vectors are inputs, not parameters."""
-        return dict(self.params)
-
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.zero_grad()
@@ -407,15 +388,17 @@ class Decoder:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: magic, variant tag byte, then for each parameter in
-# lexicographic name order: u32 name length, UTF-8 name, u8 rank, u32 dims,
-# raw little-endian float64 data (all header integers little-endian too)
+# checkpoint format: magic, variant tag byte (the variant's position in
+# ``Variant``), then for each parameter in lexicographic name order: u32 name
+# length, UTF-8 name, u8 rank, u32 dims, raw little-endian float64 data (all
+# header integers little-endian too). No config is stored: the widths are
+# read off the records.
 
 
 def save_checkpoint(model: ReviewerModel, path: str | Path) -> None:
     buf = bytearray()
     buf += CHECKPOINT_MAGIC
-    buf += struct.pack("<B", _VARIANT_TAGS[model.variant])
+    buf += struct.pack("<B", tuple(Variant).index(model.variant))
     for name in sorted(model.params):
         data = model.params[name].data
         encoded = name.encode("utf-8")
@@ -447,9 +430,9 @@ def load_checkpoint(path: str | Path) -> ReviewerModel:
         if stream.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
             raise ValueError(f"does not start with the {CHECKPOINT_MAGIC!r} magic")
         tag = read(1)[0]
-        if tag not in _TAG_VARIANTS:
+        if tag >= len(Variant):
             raise ValueError(f"unknown variant tag {tag}")
-        variant = _TAG_VARIANTS[tag]
+        variant = tuple(Variant)[tag]
         arrays: dict[str, np.ndarray] = {}
         while stream.tell() < len(raw):
             (name_len,) = struct.unpack("<I", read(4))
@@ -459,7 +442,7 @@ def load_checkpoint(path: str | Path) -> ReviewerModel:
             arrays[name] = np.frombuffer(read(8 * math.prod(dims)), "<f8").reshape(dims).copy()
             if not np.isfinite(arrays[name]).all():
                 raise ValueError(f"parameter {name} contains non-finite values")
-        model = ReviewerModel(variant, _infer_config(variant, arrays), seed=0)
+        model = ReviewerModel(variant, _infer_config(arrays), seed=0)
         model.load_param_state(arrays)
     except KeyError as exc:
         raise DataError(f"{path}: the checkpoint is missing parameter {exc}") from None
@@ -468,8 +451,9 @@ def load_checkpoint(path: str | Path) -> ReviewerModel:
     return model
 
 
-def _infer_config(variant: Variant, arrays: dict[str, np.ndarray]) -> ModelConfig:
-    """The widths that ``arrays`` imply; a missing parameter is a KeyError."""
+def _infer_config(arrays: dict[str, np.ndarray]) -> ModelConfig:
+    """The widths that ``arrays`` imply; a missing parameter is a KeyError, or
+    a name mismatch when the model built from them loads ``arrays``."""
     if "embedding.table" in arrays:
         vocab_size, embed_dim = arrays["embedding.table"].shape
         hidden_dim = arrays["lstm0.w_hidden"].shape[1]
@@ -477,15 +461,12 @@ def _infer_config(variant: Variant, arrays: dict[str, np.ndarray]) -> ModelConfi
     else:
         vocab_size, embed_dim, hidden_dim, lstm_layers = 4, 512, 512, 1
 
-    if variant is Variant.MT_BASELINE:
-        feature_dim = arrays["encoder.fc.weight"].shape[0]
-    elif variant in (Variant.MODEL_I, Variant.MODEL_II):
-        feature_dim = arrays["shared.weight"].shape[1]
-    elif variant is Variant.IAC:
-        feature_dim = arrays["classifier.weight"].shape[1]
-    else:  # V2L: the adapter reveals the width; without one it equals embed_dim
-        feature_dim = (arrays["gen_adapter.weight"].shape[1]
-                       if "gen_adapter.weight" in arrays else embed_dim)
+    # the first layer that sees the features reveals their width: the
+    # encoder's output, else a layer's input; a captioner without an adapter
+    # takes them at the embedding width
+    feature_dim = next((arrays[name].shape[axis] for name, axis in (
+        ("encoder.fc.weight", 0), ("shared.weight", 1), ("classifier.weight", 1),
+        ("gen_adapter.weight", 1)) if name in arrays), embed_dim)
 
     shared_dim = arrays["shared.weight"].shape[0] if "shared.weight" in arrays else None
     specific_dim = (arrays["cls_specific.weight"].shape[0]

@@ -134,7 +134,7 @@ def sgd_step(model: ReviewerModel, batch: list[Instance], config: TrainConfig,
     if not np.isfinite(value):
         raise fail(f"non-finite loss {value}")
     backward(total)
-    params = model.trainable_parameters()
+    params = model.params
     for name, p in params.items():
         if not np.all(np.isfinite(p.grad)):
             raise fail(f"non-finite gradient of {name}")
@@ -242,18 +242,17 @@ def tune_alpha_beta(model_factory, dataset: ReviewDataset,
     if not grid:
         raise ConfigError("the alpha/beta grid is empty")
     valid_examples = dataset.split("valid")
-    best_pair = None
-    best_key: tuple[float, float] | None = None
     # built up front, so a bad weight anywhere in the grid fails before any training
     points = [replace(config, alpha=alpha, beta=beta) for alpha, beta in grid]
-    for point in points:
+
+    def score(point: TrainConfig) -> tuple[float, float]:
         model = model_factory()
         train(model, dataset, point)
         accuracy = _valid_accuracy(model, valid_examples)
         bleu1 = (_valid_bleu1(model, valid_examples, dataset.vocab, config.max_caption_len)
                  if dataset.vocab is not None else 0.0)
-        key = (accuracy if accuracy is not None else 0.0, bleu1)
-        if best_key is None or key > best_key:
-            best_key = key
-            best_pair = (point.alpha, point.beta)
-    return best_pair
+        return (accuracy if accuracy is not None else 0.0, bleu1)
+
+    # max keeps the first of equal scores, so grid order breaks ties
+    best = max(points, key=score)
+    return best.alpha, best.beta

@@ -162,6 +162,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert run("train", "--data", data, "--variant", variant, "--epochs", 1,
                    "--out", ckpt, *TRAIN_FLAGS, flag, value) == 2
         assert not ckpt.exists()
+    # while the width of a layer the variant does not have is ignored
+    for variant, flag in (("model1", "--specific-dim"), ("iac", "--shared-dim")):
+        assert run("train", "--data", data, "--variant", variant, "--epochs", 0,
+                   "--out", tmp_path / f"{variant}.ckpt", *TRAIN_FLAGS, flag, 0) == 0
     # a loss weight that is not finite or is negative, even where the variant
     # ignores it; a seed below 0; a tuning grid that is not numbers or holds a
     # bad weight

@@ -249,20 +249,20 @@ def test_losses_are_bit_identical_across_runs(rng):
 
 def test_trainable_sets_follow_variant_contract():
     m1 = tiny_model("model1")
-    assert not any(name.startswith("encoder.") for name in m1.trainable_parameters())
+    assert not any(name.startswith("encoder.") for name in m1.params)
 
     mtb = ReviewerModel(Variant.MT_BASELINE, ModelConfig(vocab_size=10, feature_dim=8,
                                                          embed_dim=8, hidden_dim=8), seed=0)
-    trainable = mtb.trainable_parameters()
+    trainable = mtb.params
     assert "encoder.conv1.kernels" in trainable and "encoder.conv2.kernels" in trainable
 
     v2l = tiny_model("v2l")
-    assert "embedding.table" in v2l.trainable_parameters()
-    assert not any(name.startswith("classifier.") for name in v2l.trainable_parameters())
+    assert "embedding.table" in v2l.params
+    assert not any(name.startswith("classifier.") for name in v2l.params)
 
     iac = tiny_model("iac")
     assert not any(name.startswith(("embedding.", "lstm", "out_proj.", "gen_adapter."))
-                   for name in iac.trainable_parameters())
+                   for name in iac.params)
 
 
 def test_parameter_names_are_unique_slots():
@@ -359,18 +359,31 @@ def test_stacked_decoder_rows_match_oracle_per_state(rng):
 # checkpoints
 
 
-@pytest.mark.parametrize("variant", ["iac", "v2l", "mt-baseline", "model1", "model2"])
-def test_checkpoint_roundtrip_is_bit_exact(tmp_path, variant, rng):
-    if variant == "mt-baseline":
-        model = ReviewerModel(variant, ModelConfig(vocab_size=10, feature_dim=8,
-                                                   embed_dim=8, hidden_dim=8), seed=7)
-    else:
-        model = tiny_model(variant, seed=7)
+# case: (variant, its tag byte, widths that differ from tiny_model's)
+CHECKPOINT_CASES = {
+    "iac": ("iac", 0, {}),
+    "v2l": ("v2l", 1, {}),
+    "mt-baseline": ("mt-baseline", 2, {}),
+    "model1": ("model1", 3, {}),
+    "model2": ("model2", 4, {}),
+    # features narrower than the embedding, so the captioner has an adapter
+    "v2l-adapter": ("v2l", 1, {"feature_dim": 6}),
+    "mt-baseline-adapter": ("mt-baseline", 2, {"feature_dim": 6}),
+    "model2-two-layer": ("model2", 4, {"lstm_layers": 2}),
+}
+
+
+@pytest.mark.parametrize("case", list(CHECKPOINT_CASES))
+def test_checkpoint_roundtrip_is_bit_exact(tmp_path, case, rng):
+    variant, tag, overrides = CHECKPOINT_CASES[case]
+    model = tiny_model(variant, seed=7, **overrides)
     randomize_params(model, rng, scale=0.3)
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, path)
+    assert path.read_bytes()[len(CHECKPOINT_MAGIC)] == tag
     loaded = load_checkpoint(path)
     assert loaded.variant == Variant(variant)
+    assert loaded.config.feature_dim == model.config.feature_dim
     assert set(loaded.params) == set(model.params)
     for name, p in model.params.items():
         assert np.array_equal(loaded.params[name].data, p.data)

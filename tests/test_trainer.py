@@ -188,6 +188,15 @@ def test_tune_singleton_grid_returns_that_pair():
     assert pair == (0.5, 2.0)
 
 
+def test_tune_ties_go_to_the_earlier_grid_point():
+    # untrained, every point's model is the same seeded one, so all score alike
+    ds = synth_with_vocab(n_images=10)
+    config = TrainConfig(epochs=0, batch_size=4, seed=0)
+    for grid in ([(2.0, 0.5), (0.5, 2.0)], [(0.5, 2.0), (2.0, 0.5)]):
+        assert tune_alpha_beta(lambda: fresh_model("model1", ds, seed=3), ds, grid,
+                               config) == grid[0]
+
+
 def test_tune_empty_grid_rejected():
     ds = synth_with_vocab(n_images=10)
     with pytest.raises(ConfigError):
