@@ -157,7 +157,7 @@ def beam_pools(seed: int, work: Path) -> str:
                 continue
             for example in job.evaluated:
                 for beam in (1, 5, 20):
-                    pool = beam_search(job.model, example.inputs(), beam, MAX_LEN)
+                    pool = beam_search(job.model, example.inputs, beam, MAX_LEN)
                     text = "\n".join(f"{h.tokens} {h.finished} {h.log_prob.hex()}" for h in pool)
                     items.append((f"{name} {job.variant.value} {example.example_id} {beam}",
                                   text.encode("utf-8")))

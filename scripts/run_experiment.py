@@ -83,8 +83,9 @@ def run(args: argparse.Namespace) -> list[VariantRun]:
 
     runs = []
     for variant in Variant:
-        dataset = images_ds if variant is Variant.MT_BASELINE else features_ds
-        epochs = args.encoder_epochs if variant is Variant.MT_BASELINE else args.epochs
+        on_images = variant.modality == "images"
+        dataset = images_ds if on_images else features_ds
+        epochs = args.encoder_epochs if on_images else args.epochs
         config = TrainConfig(epochs=epochs, batch_size=8, seed=args.seed)
         if args.tune and variant.multi_task:
             grid = [(a, b) for a in (0.25, 0.5, 1.0, 2.0) for b in (0.25, 0.5, 1.0, 2.0)]

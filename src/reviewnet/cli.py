@@ -9,15 +9,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import oracles
-from .dataset import (FEATURES_MAGIC, MAX_CAPTION_LEN, ReviewExample, Vocabulary,
-                      build_vocab, load_dataset, read_payload, save_dataset,
-                      synth_dataset, tokenize, write_atomic)
+from .dataset import (MAX_CAPTION_LEN, ReviewExample, Vocabulary, build_vocab, load_dataset,
+                      read_payload, save_dataset, synth_dataset, tokenize, write_atomic)
 from .errors import (ConfigError, ContractError, DataError, NumericError, ShapeError)
 from .inference import beam_search, check_beam, predict_class, strip_end
 from .metrics import EvalPair, MetricReport, overall_accuracy, report_table, score_corpus
@@ -52,12 +51,12 @@ def evaluate_examples(model: ReviewerModel, examples: list[ReviewExample],
         _check_vocab_size(model, vocab)
     for ex in examples:
         if model.variant.has_generator:
-            top = beam_search(model, ex.inputs(), beam_size, max_len)[0]
+            top = beam_search(model, ex.inputs, beam_size, max_len)[0]
             words = vocab.decode(strip_end(list(top.tokens)))
             generations.append((ex.example_id, words))
             pairs.append(EvalPair(words, [tokenize(c) for c in ex.comments]))
         if model.variant.has_classifier:
-            label, prob = predict_class(model, ex.inputs())
+            label, prob = predict_class(model, ex.inputs)
             predictions.append((ex.example_id, int(label), prob))
     if predictions:
         report.overall_accuracy = overall_accuracy(
@@ -178,7 +177,7 @@ def variant_cases(rng: np.random.Generator, model_seed: int):
     three instances with ragged captions. Inputs are drawn from ``rng``."""
     cases = []
     for variant in Variant:
-        if variant is Variant.MT_BASELINE:
+        if variant.modality == "images":
             config = ModelConfig(vocab_size=10, feature_dim=8, embed_dim=8, hidden_dim=8)
             inputs = [rng.random((3, 32, 32)) for _ in range(3)]
         else:
@@ -255,35 +254,28 @@ def _cmd_build_vocab(args) -> int:
     return 0
 
 
+def _given_fields(cls, args, **fixed):
+    """``cls`` from ``fixed`` and the flags given for its fields; the rest keep their defaults."""
+    given = {f.name: getattr(args, f.name) for f in fields(cls)
+             if getattr(args, f.name, None) is not None}
+    return cls(**given, **fixed)
+
+
 def _cmd_train(args) -> int:
     log_path = args.log or f"{args.out}.metrics.csv"
     _check_outputs(args.out, log_path)
     ds = load_dataset(args.data)
     variant = Variant(args.variant)
-    # only the baseline trains its own encoder; the others read precomputed features
-    modality = "images" if variant is Variant.MT_BASELINE else "features"
-    if ds.modality != modality:
-        raise DataError(f"variant {variant.value} trains on {modality}, "
+    if ds.modality != variant.modality:
+        raise DataError(f"variant {variant.value} trains on {variant.modality}, "
                         f"got a dataset of {ds.modality}")
-    needs_vocab = variant.has_generator
-    if needs_vocab and ds.vocab is None:
+    if variant.has_generator and ds.vocab is None:
         raise DataError("no vocab.txt in the data directory; run build-vocab first")
 
     feature_dim = args.encoder_dim if ds.modality == "images" else ds.feature_dim
-    config = ModelConfig(
-        vocab_size=len(ds.vocab) if needs_vocab else 4,
-        feature_dim=feature_dim,
-        embed_dim=args.embed_dim,
-        hidden_dim=args.hidden_dim,
-        shared_dim=args.shared_dim,
-        specific_dim=args.specific_dim,
-        lstm_layers=args.lstm_layers,
-    )
-    tcfg = TrainConfig(
-        learning_rate=args.lr, batch_size=args.batch_size, dropout_keep=args.dropout_keep,
-        epochs=args.epochs, seed=args.seed, alpha=args.alpha, beta=args.beta,
-        max_caption_len=args.max_caption_len, clip_norm=args.clip_norm,
-    )
+    vocab_size = len(ds.vocab) if variant.has_generator else 4
+    config = _given_fields(ModelConfig, args, vocab_size=vocab_size, feature_dim=feature_dim)
+    tcfg = _given_fields(TrainConfig, args)
     if args.tune_grid:
         if not variant.multi_task:
             raise ConfigError("--tune-grid only applies to multi-task variants")
@@ -294,12 +286,12 @@ def _cmd_train(args) -> int:
                               f"got {args.tune_grid!r}") from None
         grid = [(a, b) for a in values for b in values]
         alpha, beta = tune_alpha_beta(
-            lambda: ReviewerModel(variant, config, seed=args.seed), ds, grid,
+            lambda: ReviewerModel(variant, config, seed=tcfg.seed), ds, grid,
             replace(tcfg, epochs=args.tune_epochs))
         print(f"selected alpha={alpha} beta={beta} from the {len(grid)}-point grid")
         tcfg = replace(tcfg, alpha=alpha, beta=beta)
 
-    model = ReviewerModel(variant, config, seed=args.seed)
+    model = ReviewerModel(variant, config, seed=tcfg.seed)
     result = train(model, ds, tcfg)
     save_checkpoint(model, args.out)
     write_metrics_csv(result.log, log_path)
@@ -342,14 +334,14 @@ def _cmd_evaluate(args) -> int:
 def _cmd_generate(args) -> int:
     check_beam(args.beam, args.max_len)
     _check_outputs(args.out)
-    features = read_payload(args.features, FEATURES_MAGIC)
+    _, rows = read_payload(args.features)
     vocab = Vocabulary.load(args.vocab)
     model = load_checkpoint(args.ckpt)
     if not model.variant.has_generator:
         raise ConfigError(f"variant {model.variant.value} has no language head")
     _check_vocab_size(model, vocab)
     lines = []
-    for row in features:
+    for row in rows:
         top = beam_search(model, row, args.beam, args.max_len)[0]
         lines.append(" ".join(vocab.decode(strip_end(list(top.tokens)))))
     text = "\n".join(lines) + "\n"
@@ -390,27 +382,28 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one variant and save the best checkpoint")
     p.add_argument("--data", required=True)
     p.add_argument("--variant", required=True, choices=[v.value for v in Variant])
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=1.0)
+    # a flag that sets a config field keeps the config's default when left out
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--beta", type=float)
     p.add_argument("--tune-grid", default=None,
                    help="comma-separated weight values; trains every (alpha, beta) pair briefly")
     p.add_argument("--tune-epochs", type=int, default=2)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.add_argument("--log", default=None, help="metrics CSV path (default: <out>.metrics.csv)")
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--dropout-keep", type=float, default=0.7)
-    p.add_argument("--embed-dim", type=int, default=512)
-    p.add_argument("--hidden-dim", type=int, default=512)
-    p.add_argument("--shared-dim", type=int, default=None)
-    p.add_argument("--specific-dim", type=int, default=None)
-    p.add_argument("--lstm-layers", type=int, default=1)
+    p.add_argument("--lr", type=float, dest="learning_rate")
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--dropout-keep", type=float)
+    p.add_argument("--embed-dim", type=int)
+    p.add_argument("--hidden-dim", type=int)
+    p.add_argument("--shared-dim", type=int)
+    p.add_argument("--specific-dim", type=int)
+    p.add_argument("--lstm-layers", type=int)
     p.add_argument("--encoder-dim", type=int, default=64,
                    help="tiny encoder output width (image datasets only)")
-    p.add_argument("--max-caption-len", type=int, default=MAX_CAPTION_LEN)
-    p.add_argument("--clip-norm", type=float, default=None)
+    p.add_argument("--max-caption-len", type=int)
+    p.add_argument("--clip-norm", type=float)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("evaluate", help="decode a split and write the metric report")
@@ -424,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write decoded captions, one per line")
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("generate", help="decode captions for a features file")
+    p = sub.add_parser("generate", help="decode captions for a features.bin or images.bin file")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--vocab", required=True)

@@ -37,6 +37,7 @@ LABEL_DELTA = 0.5
 
 FEATURES_MAGIC = b"NAIRF1"
 IMAGES_MAGIC = b"NAIRI1"
+_MAGICS = {"features": FEATURES_MAGIC, "images": IMAGES_MAGIC}  # modality: its payload's magic
 IMAGE_SHAPE = (3, 32, 32)
 
 SPLITS = ("train", "valid", "test")
@@ -153,11 +154,7 @@ class ReviewExample:
     label: Label
     split: str
     comments: list[str]
-    features: np.ndarray | None = None
-    image: np.ndarray | None = None
-
-    def inputs(self) -> np.ndarray:
-        return self.features if self.features is not None else self.image
+    inputs: np.ndarray | None = None  # a feature vector or an image, as the dataset's modality
 
 
 @dataclass
@@ -177,7 +174,7 @@ class ReviewDataset:
     def feature_dim(self) -> int:
         if self.modality != "features":
             raise ConfigError("feature_dim is only defined for feature datasets")
-        return self.examples[0].features.shape[0]
+        return self.examples[0].inputs.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +252,10 @@ def synth_dataset(seed: int, n_images: int, *, feature_dim: int = 16,
             comments=[template] * COMMENTS_PER_IMAGE,
         )
         if modality == "features":
-            ex.features = sign + rng.normal(0.0, FEATURE_NOISE, size=feature_dim)
+            ex.inputs = sign + rng.normal(0.0, FEATURE_NOISE, size=feature_dim)
         else:
             base = 0.3 if label is Label.LOW else 0.7
-            ex.image = np.clip(base + rng.normal(0.0, 0.08, size=IMAGE_SHAPE), 0.0, 1.0)
+            ex.inputs = np.clip(base + rng.normal(0.0, 0.08, size=IMAGE_SHAPE), 0.0, 1.0)
         examples.append(ex)
 
     n_train, n_valid, n_test = _split_sizes(per_class)
@@ -288,34 +285,31 @@ def save_dataset(ds: ReviewDataset, out_dir: str | Path) -> None:
         }))
     write_atomic(out_dir / "manifest.jsonl", ("\n".join(lines) + "\n").encode("utf-8"))
 
-    if ds.modality == "features":
-        payload = np.stack([ex.features for ex in ds.examples]).astype("<f8")
-        header = FEATURES_MAGIC + struct.pack("<II", *payload.shape)
-        name, other = "features.bin", "images.bin"
-    else:
-        payload = np.stack([ex.image for ex in ds.examples]).astype("<f8")
-        header = IMAGES_MAGIC + struct.pack("<IIII", payload.shape[0], *IMAGE_SHAPE)
-        name, other = "images.bin", "features.bin"
-    write_atomic(out_dir / name, header + payload.tobytes())
+    payload = np.stack([ex.inputs for ex in ds.examples]).astype("<f8")
+    header = _MAGICS[ds.modality] + struct.pack(f"<{payload.ndim}I", *payload.shape)
+    write_atomic(out_dir / f"{ds.modality}.bin", header + payload.tobytes())
     # exactly one payload file may exist; the other kind goes only once the new one is in place
-    (out_dir / other).unlink(missing_ok=True)
+    other = "images" if ds.modality == "features" else "features"
+    (out_dir / f"{other}.bin").unlink(missing_ok=True)
 
 
-def read_payload(path: str | Path, magic: bytes) -> np.ndarray:
-    """Rows of a ``features.bin`` (``FEATURES_MAGIC``) or ``images.bin``
-    (``IMAGES_MAGIC``) file; every value must be finite."""
+def read_payload(path: str | Path) -> tuple[str, np.ndarray]:
+    """The modality, named by the magic, and the rows of a ``features.bin``
+    or ``images.bin`` file; every value must be finite."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"payload file not found: {path}")
     raw = path.read_bytes()
-    if raw[:len(magic)] != magic:
-        raise DataError(f"{path} does not start with the {magic!r} magic")
-    rank = 2 if magic == FEATURES_MAGIC else 1 + len(IMAGE_SHAPE)
+    modality = next((name for name, magic in _MAGICS.items() if raw.startswith(magic)), None)
+    if modality is None:
+        raise DataError(f"{path} starts with neither {FEATURES_MAGIC!r} nor {IMAGES_MAGIC!r}")
+    magic = _MAGICS[modality]
+    rank = 2 if modality == "features" else 1 + len(IMAGE_SHAPE)
     offset = len(magic) + 4 * rank
     if len(raw) < offset:
         raise DataError(f"{path}: truncated header")
     shape = struct.unpack_from(f"<{rank}I", raw, len(magic))
-    if magic == IMAGES_MAGIC and shape[1:] != IMAGE_SHAPE:
+    if modality == "images" and shape[1:] != IMAGE_SHAPE:
         raise DataError(f"{path}: unexpected image dims {shape[1:]}")
     expected = 8 * math.prod(shape)  # Python ints: 0xFFFFFFFF dims cannot wrap
     if len(raw) - offset != expected:
@@ -323,7 +317,7 @@ def read_payload(path: str | Path, magic: bytes) -> np.ndarray:
     payload = np.frombuffer(raw, dtype="<f8", offset=offset).reshape(shape).copy()
     if not np.isfinite(payload).all():
         raise DataError(f"{path}: payload contains non-finite values")
-    return payload
+    return modality, payload
 
 
 def load_dataset(data_dir: str | Path) -> ReviewDataset:
@@ -336,9 +330,10 @@ def load_dataset(data_dir: str | Path) -> ReviewDataset:
     images_path = data_dir / "images.bin"
     if features_path.exists() == images_path.exists():
         raise DataError(f"{data_dir} must contain exactly one of features.bin or images.bin")
-    modality = "features" if features_path.exists() else "images"
-    payload = (read_payload(features_path, FEATURES_MAGIC) if modality == "features"
-               else read_payload(images_path, IMAGES_MAGIC))
+    payload_path = features_path if features_path.exists() else images_path
+    modality, payload = read_payload(payload_path)
+    if payload_path.stem != modality:
+        raise DataError(f"{payload_path}: holds {modality}, not {payload_path.stem}")
 
     raw = manifest.read_bytes()
     try:
@@ -388,10 +383,7 @@ def load_dataset(data_dir: str | Path) -> ReviewDataset:
             f"{data_dir}: manifest has {len(examples)} examples but the binary payload has "
             f"{payload.shape[0]} rows")
     for ex, row in zip(examples, payload):
-        if modality == "features":
-            ex.features = row
-        else:
-            ex.image = row
+        ex.inputs = row
 
     vocab_path = data_dir / "vocab.txt"
     vocab = Vocabulary.load(vocab_path) if vocab_path.exists() else None

@@ -137,11 +137,11 @@ def _lcs_length(a: Sequence, b: Sequence) -> int:
     return len(a) - (row & full).bit_count()
 
 
-def rouge_l(pairs: Sequence[EvalPair], beta: float = ROUGE_BETA) -> float:
+def rouge_l(pairs: Sequence[EvalPair]) -> float:
     """Mean over pairs of the best-reference LCS F-score."""
     if not pairs:
         raise ContractError("rouge_l of an empty corpus is undefined")
-    beta2 = beta * beta
+    beta2 = ROUGE_BETA * ROUGE_BETA
     total = 0.0
     for pair in pairs:
         best = 0.0
@@ -156,14 +156,14 @@ def rouge_l(pairs: Sequence[EvalPair], beta: float = ROUGE_BETA) -> float:
     return total / len(pairs)
 
 
-def cider(pairs: Sequence[EvalPair], max_order: int = CIDER_MAX_ORDER) -> float:
+def cider(pairs: Sequence[EvalPair]) -> float:
     """tf-idf cosine similarity averaged over orders and references, times 10."""
     if len(pairs) < 2:
         raise ConfigError("cider needs a corpus of at least two images for a meaningful idf")
     n_images = len(pairs)
     idf_default = math.log(float(n_images))  # unseen n-grams have doc_freq 0
     idf: list[dict[tuple, float]] = []
-    for order in range(1, max_order + 1):
+    for order in range(1, CIDER_MAX_ORDER + 1):
         doc_freq: Counter = Counter()
         for pair in pairs:
             grams: set = set()
@@ -185,11 +185,11 @@ def cider(pairs: Sequence[EvalPair], max_order: int = CIDER_MAX_ORDER) -> float:
 
     score = 0.0
     for pair in pairs:
-        for order in range(1, max_order + 1):
+        for order in range(1, CIDER_MAX_ORDER + 1):
             cand_counts, ref_counts = pair.ngram_counts(order)
             cand_vec = vector(cand_counts, order)
             sims = [cosine(cand_vec, vector(counts, order)) for counts in ref_counts]
-            score += sum(sims) / len(sims) / max_order
+            score += sum(sims) / len(sims) / CIDER_MAX_ORDER
     return 10.0 * score / n_images
 
 

@@ -48,6 +48,11 @@ class Variant(str, Enum):
     def has_generator(self) -> bool:
         return self is not Variant.IAC
 
+    @property
+    def modality(self) -> str:
+        """The inputs it reads: only the baseline trains an encoder on images."""
+        return "images" if self is Variant.MT_BASELINE else "features"
+
 
 # The representation layers a variant has, as the default width of each:
 # ``shared_dim`` builds the shared layer, ``specific_dim`` the two
@@ -117,7 +122,7 @@ class ReviewerModel:
             return Dense(out_dim, cfg.feature_dim, rng=rng, bias=False)
 
         self.encoder = None
-        if self.variant is Variant.MT_BASELINE:
+        if self.variant.modality == "images":
             self.encoder = TinyConvEncoder(cfg.feature_dim, rng=rng)
 
         widths = _REPRESENTATION_WIDTHS.get(self.variant, {})

@@ -95,7 +95,7 @@ def make_instances(examples: list[ReviewExample], vocab: Vocabulary | None,
                 caption = tuple(vocab.encode(tokenize(comment))[:max_caption_len])
                 if not caption:
                     continue
-            instances.append(Instance(ex.example_id, ex.inputs(), int(ex.label), caption))
+            instances.append(Instance(ex.example_id, ex.inputs, int(ex.label), caption))
     return instances
 
 
@@ -165,7 +165,7 @@ def _mean_valid_loss(model: ReviewerModel, instances: list[Instance],
 def _valid_accuracy(model: ReviewerModel, examples: list[ReviewExample]) -> float | None:
     if not model.variant.has_classifier:
         return None
-    correct = sum(int(predict_class(model, ex.inputs())[0]) == int(ex.label) for ex in examples)
+    correct = sum(int(predict_class(model, ex.inputs)[0]) == int(ex.label) for ex in examples)
     return correct / len(examples)
 
 
@@ -229,7 +229,7 @@ def _valid_bleu1(model: ReviewerModel, examples: list[ReviewExample], vocab: Voc
         return 0.0
     pairs = []
     for ex in examples:
-        decoded = vocab.decode(strip_end(greedy_decode(model, ex.inputs(), max_len)))
+        decoded = vocab.decode(strip_end(greedy_decode(model, ex.inputs, max_len)))
         pairs.append(EvalPair(decoded, [tokenize(c) for c in ex.comments]))
     return bleu(pairs, 1)
 

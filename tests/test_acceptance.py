@@ -63,9 +63,9 @@ def _memorize(variant: str, shared, specific):
 
     def memorized() -> bool:
         for ex in ds.examples:
-            if predict_class(model, ex.features)[0] is not ex.label:
+            if predict_class(model, ex.inputs)[0] is not ex.label:
                 return False
-            decoded = tuple(strip_end(greedy_decode(model, ex.features, 30)))
+            decoded = tuple(strip_end(greedy_decode(model, ex.inputs, 30)))
             if decoded != targets[ex.example_id]:
                 return False
         return True
@@ -177,12 +177,12 @@ def test_criterion_6_frozen_weight_contract():
                                                    shared_dim=shared, specific_dim=specific),
                               seed=1)
         assert not any(name.startswith("encoder.") for name in model.params)
-        feature_bytes = [ex.features.tobytes() for ex in ds.examples]
+        feature_bytes = [ex.inputs.tobytes() for ex in ds.examples]
         for step in range(30):
             sgd_step(model, instances[(step * 8) % len(instances):][:8] or instances[:8],
                      config, rng=None)
         for before, ex in zip(feature_bytes, ds.examples):
-            assert before == ex.features.tobytes()
+            assert before == ex.inputs.tobytes()
 
     image_ds = synth_dataset(56, 8, modality="images")
     image_corpus = [tokenize(c) for ex in image_ds.examples for c in ex.comments]

@@ -2,18 +2,20 @@ import itertools
 import json
 import shutil
 import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import save_with_oversized_dims, two_layer_model
-from reviewnet import inference, tensor
+from reviewnet import cli, inference, tensor
 from reviewnet.cli import _primitive_cases, main
 from reviewnet.errors import ConfigError, DataError
-from reviewnet.dataset import (FEATURES_MAGIC, RESERVED_TOKENS, load_dataset, save_dataset,
-                              synth_dataset)
-from reviewnet.model import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
+from reviewnet.dataset import (FEATURES_MAGIC, RESERVED_TOKENS, Vocabulary, load_dataset,
+                              save_dataset, synth_dataset)
+from reviewnet.model import CHECKPOINT_MAGIC, ModelConfig, load_checkpoint, save_checkpoint
+from reviewnet.trainer import TrainConfig
 
 
 TRAIN_FLAGS = ["--embed-dim", "16", "--hidden-dim", "16", "--shared-dim", "8",
@@ -302,6 +304,23 @@ def test_mt_baseline_trains_on_images(tmp_path):
     assert json.loads(report.read_text())["overall_accuracy"] is not None
 
 
+def test_generate_decodes_images_for_mt_baseline(tmp_path, capsys):
+    data = tmp_path / "imgdata"
+    assert run("synth-data", "--seed", 9, "--n-images", 10, "--out", data,
+               "--modality", "images") == 0
+    assert run("build-vocab", "--data", data) == 0
+    ckpt, generations = tmp_path / "mtb.ckpt", tmp_path / "g.txt"
+    assert run("train", "--data", data, "--variant", "mt-baseline", "--epochs", 1,
+               "--seed", 1, "--out", ckpt, "--encoder-dim", 8,
+               "--embed-dim", 12, "--hidden-dim", 12, "--batch-size", 6) == 0
+    assert run("evaluate", "--data", data, "--ckpt", ckpt, "--beam", 3, "--split", "all",
+               "--report", tmp_path / "r.json", "--generations", generations) == 0
+    capsys.readouterr()
+    assert run("generate", "--ckpt", ckpt, "--features", data / "images.bin",
+               "--vocab", data / "vocab.txt", "--beam", 3) == 0
+    assert capsys.readouterr().out == generations.read_text()
+
+
 @pytest.fixture(scope="module")
 def untrained(tmp_path_factory):
     """A dataset with its vocabulary and an untrained model1 checkpoint."""
@@ -552,6 +571,11 @@ def _images_with_huge_count(path):
     _rewrite(lambda raw: raw[:6] + b"\xff" * 4 + raw[10:])(path)
 
 
+def _images_renamed_to_features(path):
+    save_dataset(synth_dataset(3, 12, modality="images"), path.parent)
+    (path.parent / "images.bin").rename(path)
+
+
 READER_FAULTS = {  # fault: (corrupted file, corruption, what the message adds to the path)
     "manifest-nested-lists": ("data/manifest.jsonl", _line_2(lambda line: b"[" * 200_000), ":2: "),
     "manifest-nested-objects": (
@@ -575,6 +599,8 @@ READER_FAULTS = {  # fault: (corrupted file, corruption, what the message adds t
                                 _rewrite(lambda raw: raw[:6] + b"\xff" * 8 + raw[14:]),
                                 f": expected {8 * 0xFFFFFFFF ** 2} payload bytes"),
     "images-oversized-count": ("data/images.bin", _images_with_huge_count, ": expected"),
+    "images-renamed-to-features": ("data/features.bin", _images_renamed_to_features,
+                                   ": holds images, not features"),
     "checkpoint-0xff-in-name": ("m1.ckpt",
                                 _rewrite(lambda raw: raw[:14] + b"\xff" + raw[15:]), ": "),
     "checkpoint-rank-1-hidden-weights": ("m1.ckpt",
@@ -618,3 +644,67 @@ def test_reader_faults_are_data_errors_naming_the_file(untrained, tmp_path, caps
     assert not list(tmp_path.rglob("*.tmp"))
     for path, content in previous.items():
         assert path.read_bytes() == content
+
+
+# ---------------------------------------------------------------------------
+# train flags: each one sets a config field, and one left out keeps the
+# config's own default
+
+TRAIN_CONFIG_FLAGS = {  # flag: (config field, a value that is not the field's default)
+    "--lr": ("learning_rate", 0.05),
+    "--batch-size": ("batch_size", 7),
+    "--dropout-keep": ("dropout_keep", 0.5),
+    "--epochs": ("epochs", 3),
+    "--seed": ("seed", 4),
+    "--alpha": ("alpha", 0.25),
+    "--beta": ("beta", 2.0),
+    "--max-caption-len": ("max_caption_len", 12),
+    "--clip-norm": ("clip_norm", 5.0),
+    "--embed-dim": ("embed_dim", 24),
+    "--hidden-dim": ("hidden_dim", 20),
+    "--shared-dim": ("shared_dim", 10),
+    "--specific-dim": ("specific_dim", 6),
+    "--lstm-layers": ("lstm_layers", 2),
+}
+
+
+def _built_configs(monkeypatch, data, out, *flags):
+    """The model config, model seed and train config that ``train`` builds."""
+    built = {}
+
+    class Built(Exception):
+        pass
+
+    def model(variant, config, seed):
+        built.update(config=config, seed=seed)
+
+    def fit(model, ds, tcfg):
+        built["tcfg"] = tcfg
+        raise Built
+
+    monkeypatch.setattr(cli, "ReviewerModel", model)
+    monkeypatch.setattr(cli, "train", fit)
+    with pytest.raises(Built):
+        run("train", "--data", data, "--variant", "model2", "--out", out, *flags)
+    return built
+
+
+def test_train_flags_reach_their_config_fields(untrained, tmp_path, monkeypatch):
+    data, out = untrained[0], tmp_path / "m2.ckpt"
+    train_fields = {f.name for f in fields(TrainConfig)}
+    assert {name for name, _ in TRAIN_CONFIG_FLAGS.values()} == (
+        train_fields | {f.name for f in fields(ModelConfig)}) - {"vocab_size", "feature_dim"}
+
+    defaults = ModelConfig(vocab_size=len(Vocabulary.load(data / "vocab.txt")), feature_dim=16)
+    built = _built_configs(monkeypatch, data, out)
+    assert built["config"] == defaults
+    assert built["tcfg"] == TrainConfig()
+    assert built["seed"] == TrainConfig().seed
+
+    flags = [a for flag, (_, value) in TRAIN_CONFIG_FLAGS.items() for a in (flag, value)]
+    built = _built_configs(monkeypatch, data, out, *flags)
+    for flag, (name, value) in TRAIN_CONFIG_FLAGS.items():
+        config = built["tcfg"] if name in train_fields else built["config"]
+        default = TrainConfig() if name in train_fields else defaults
+        assert getattr(config, name) == value != getattr(default, name), flag
+    assert built["seed"] == TRAIN_CONFIG_FLAGS["--seed"][1]

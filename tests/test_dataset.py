@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 
 import numpy as np
@@ -174,7 +175,7 @@ def test_synth_labels_never_fall_in_discard_band():
 def test_synth_features_are_linearly_separable():
     ds = synth_dataset(13, 20)
     train = ds.split("train")
-    feats = np.stack([ex.features for ex in train])
+    feats = np.stack([ex.inputs for ex in train])
     labels = np.array([int(ex.label) for ex in train])
     assert oracles.lda_probe_accuracy(feats, labels) == 1.0
 
@@ -188,8 +189,8 @@ def test_synth_comments_mirror_six_per_image():
 def test_synth_images_modality():
     ds = synth_dataset(4, 6, modality="images")
     for ex in ds.examples:
-        assert ex.image.shape == (3, 32, 32)
-        assert ex.image.min() >= 0.0 and ex.image.max() <= 1.0
+        assert ex.inputs.shape == (3, 32, 32)
+        assert ex.inputs.min() >= 0.0 and ex.inputs.max() <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +207,7 @@ def test_dataset_roundtrip(tmp_path):
         assert a.example_id == b.example_id
         assert a.score == b.score and a.label == b.label and a.split == b.split
         assert a.comments == b.comments
-        assert np.array_equal(a.features, b.features)
+        assert np.array_equal(a.inputs, b.inputs)
 
 
 def test_images_dataset_roundtrip(tmp_path):
@@ -215,7 +216,7 @@ def test_images_dataset_roundtrip(tmp_path):
     loaded = load_dataset(tmp_path)
     assert loaded.modality == "images"
     for a, b in zip(ds.examples, loaded.examples):
-        assert np.array_equal(a.image, b.image)
+        assert np.array_equal(a.inputs, b.inputs)
 
 
 @pytest.mark.parametrize("failing_write", ["manifest", "payload", "vocab"])
@@ -245,15 +246,18 @@ def test_dataset_write_failing_midway_keeps_previous_files(tmp_path, monkeypatch
     assert {name for name in before if after[name] != before[name]} == replaced
 
 
-def test_features_bin_magic_and_layout(tmp_path):
-    ds = synth_dataset(1, 4, feature_dim=5)
+@pytest.mark.parametrize("modality, magic, dims", [("features", b"NAIRF1", (5,)),
+                                                    ("images", b"NAIRI1", (3, 32, 32))],
+                         ids=["features", "images"])
+def test_features_bin_magic_and_layout(tmp_path, modality, magic, dims):
+    ds = synth_dataset(1, 4, feature_dim=5, modality=modality)
     save_dataset(ds, tmp_path)
-    raw = (tmp_path / "features.bin").read_bytes()
-    assert raw[:6] == FEATURES_MAGIC == b"NAIRF1"
-    count = int.from_bytes(raw[6:10], "little")
-    dim = int.from_bytes(raw[10:14], "little")
-    assert (count, dim) == (4, 5)
-    assert len(raw) == 14 + count * dim * 8
+    raw = (tmp_path / f"{modality}.bin").read_bytes()
+    assert raw[:6] == magic
+    header = struct.unpack_from(f"<{1 + len(dims)}I", raw, 6)
+    assert header == (4, *dims)
+    assert len(raw) == 6 + 4 * len(header) + 4 * math.prod(dims) * 8
+    assert read_payload(tmp_path / f"{modality}.bin")[0] == modality
 
 
 def test_read_features_bin_rejects_garbage(tmp_path):
@@ -261,7 +265,7 @@ def test_read_features_bin_rejects_garbage(tmp_path):
     for garbage in (b"NOPE" + b"\x00" * 20, FEATURES_MAGIC + b"\x01"):
         path.write_bytes(garbage)
         with pytest.raises(DataError):
-            read_payload(path, FEATURES_MAGIC)
+            read_payload(path)
 
 
 def test_load_rejects_label_score_mismatch(tmp_path):
@@ -288,7 +292,7 @@ def test_load_rejects_duplicate_ids(tmp_path):
 @pytest.mark.parametrize("modality", ["features", "images"])
 def test_load_rejects_non_finite_payload(tmp_path, modality):
     ds = synth_dataset(2, 4, modality=modality)
-    ds.examples[1].inputs().flat[3] = np.inf
+    ds.examples[1].inputs.flat[3] = np.inf
     save_dataset(ds, tmp_path)
     with pytest.raises(DataError, match="non-finite"):
         load_dataset(tmp_path)

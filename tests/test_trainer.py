@@ -123,11 +123,11 @@ def test_train_smoothed_loss_is_non_increasing_over_first_steps():
 
 def test_frozen_feature_inputs_are_bit_identical_after_training():
     ds = synth_with_vocab(n_images=10)
-    snapshots = [ex.features.copy() for ex in ds.examples]
+    snapshots = [ex.inputs.copy() for ex in ds.examples]
     model = fresh_model("model2", ds, seed=5)
     train(model, ds, TrainConfig(epochs=2, batch_size=4, seed=1))
     for before, ex in zip(snapshots, ds.examples):
-        assert before.tobytes() == ex.features.tobytes()
+        assert before.tobytes() == ex.inputs.tobytes()
 
 
 def test_best_checkpoint_restored_and_reproduces_valid_loss():
