@@ -19,7 +19,8 @@ from reviewnet.cli import evaluate_examples
 from reviewnet.dataset import build_vocab, load_dataset, save_dataset, synth_dataset, tokenize
 from reviewnet.metrics import MetricReport, report_table
 from reviewnet.model import ModelConfig, ReviewerModel, Variant
-from reviewnet.trainer import TrainConfig, TrainResult, train, tune_alpha_beta
+from reviewnet.inference import BEAM_SIZE
+from reviewnet.trainer import TUNE_EPOCHS, TrainConfig, TrainResult, train, tune_alpha_beta
 
 
 @dataclass
@@ -41,7 +42,7 @@ def prepare_data(out_dir: Path, seed: int, n_images: int, modality: str):
     ds = synth_dataset(seed, n_images, modality=modality)
     save_dataset(ds, data_dir)
     corpus = [tokenize(c) for ex in ds.split("train") for c in ex.comments]
-    build_vocab(corpus, min_count=4).save(data_dir / "vocab.txt")
+    build_vocab(corpus).save(data_dir / "vocab.txt")
     return load_dataset(data_dir)
 
 
@@ -67,7 +68,7 @@ def parse_args(argv=None) -> argparse.Namespace:
                         help="epochs for the slower trainable-encoder baseline")
     parser.add_argument("--width", type=int, default=32, help="embedding and hidden width")
     parser.add_argument("--encoder-dim", type=int, default=16)
-    parser.add_argument("--beam", type=int, default=20)
+    parser.add_argument("--beam", type=int, default=BEAM_SIZE)
     parser.add_argument("--tune", action="store_true",
                         help="grid-search alpha/beta on validation for the multi-task variants")
     return parser.parse_args(argv)
@@ -90,7 +91,7 @@ def run(args: argparse.Namespace) -> list[VariantRun]:
         if args.tune and variant.multi_task:
             grid = [(a, b) for a in (0.25, 0.5, 1.0, 2.0) for b in (0.25, 0.5, 1.0, 2.0)]
             alpha, beta = tune_alpha_beta(lambda: model_for(variant, dataset, args),
-                                          dataset, grid, replace(config, epochs=2))
+                                          dataset, grid, replace(config, epochs=TUNE_EPOCHS))
             config = replace(config, alpha=alpha, beta=beta)
 
         model = model_for(variant, dataset, args)

@@ -18,13 +18,13 @@ from . import oracles
 from .dataset import (MAX_CAPTION_LEN, ReviewExample, Vocabulary, build_vocab, load_dataset,
                       read_payload, save_dataset, synth_dataset, tokenize, write_atomic)
 from .errors import (ConfigError, ContractError, DataError, NumericError, ShapeError)
-from .inference import beam_search, check_beam, predict_class, strip_end
+from .inference import BEAM_SIZE, beam_search, check_beam, predict_class, strip_end
 from .metrics import EvalPair, MetricReport, overall_accuracy, report_table, score_corpus
 from .model import ModelConfig, ReviewerModel, Variant, load_checkpoint, save_checkpoint
 from .tensor import (Tensor, add, backward, concat, conv2d, dropout, embedding_lookup, linear,
                      linear_cross_entropy, lstm_sequence, matmul, max_pool2, mul, relu,
                      reshape, scale, sum_all)
-from .trainer import (Instance, TrainConfig, batch_loss, instance_loss, train,
+from .trainer import (TUNE_EPOCHS, Instance, TrainConfig, batch_loss, instance_loss, train,
                       tune_alpha_beta, write_metrics_csv)
 
 GRAD_CHECK_SAMPLE = 25
@@ -38,7 +38,7 @@ class EvalOutcome:
 
 
 def evaluate_examples(model: ReviewerModel, examples: list[ReviewExample],
-                      vocab: Vocabulary | None, *, beam_size: int = 20,
+                      vocab: Vocabulary | None, *, beam_size: int = BEAM_SIZE,
                       max_len: int = MAX_CAPTION_LEN) -> EvalOutcome:
     """Decode and classify a split, returning the metric report and raw outputs."""
     report = MetricReport()
@@ -236,8 +236,7 @@ def _check_outputs(*paths) -> None:
 
 
 def _cmd_synth_data(args) -> int:
-    ds = synth_dataset(args.seed, args.n_images, feature_dim=args.feature_dim,
-                       modality=args.modality)
+    ds = synth_dataset(args.seed, args.n_images, **_given(args, "feature_dim", "modality"))
     save_dataset(ds, args.out)
     print(f"wrote {args.n_images} {ds.modality} examples to {args.out}")
     return 0
@@ -248,17 +247,20 @@ def _cmd_build_vocab(args) -> int:
     corpus = [tokenize(c) for ex in ds.split("train") for c in ex.comments]
     if not corpus:
         raise DataError("the train split has no comments to build a vocabulary from")
-    vocab = build_vocab(corpus, min_count=args.min_count)
+    vocab = build_vocab(corpus, **_given(args, "min_count"))
     vocab.save(Path(args.data) / "vocab.txt")
     print(f"vocabulary of {len(vocab)} tokens (including 4 reserved specials)")
     return 0
 
 
+def _given(args, *names) -> dict:
+    """The flags among ``names`` that were given; the rest keep their defaults."""
+    return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
+
+
 def _given_fields(cls, args, **fixed):
     """``cls`` from ``fixed`` and the flags given for its fields; the rest keep their defaults."""
-    given = {f.name: getattr(args, f.name) for f in fields(cls)
-             if getattr(args, f.name, None) is not None}
-    return cls(**given, **fixed)
+    return cls(**_given(args, *(f.name for f in fields(cls))), **fixed)
 
 
 def _cmd_train(args) -> int:
@@ -276,7 +278,7 @@ def _cmd_train(args) -> int:
     vocab_size = len(ds.vocab) if variant.has_generator else 4
     config = _given_fields(ModelConfig, args, vocab_size=vocab_size, feature_dim=feature_dim)
     tcfg = _given_fields(TrainConfig, args)
-    if args.tune_grid:
+    if args.tune_grid is not None:
         if not variant.multi_task:
             raise ConfigError("--tune-grid only applies to multi-task variants")
         try:
@@ -370,13 +372,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--n-images", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--feature-dim", type=int, default=16)
-    p.add_argument("--modality", choices=["features", "images"], default="features")
+    p.add_argument("--feature-dim", type=int, help="default: synth_dataset's")
+    p.add_argument("--modality", choices=["features", "images"], help="default: synth_dataset's")
     p.set_defaults(func=_cmd_synth_data)
 
     p = sub.add_parser("build-vocab", help="build vocab.txt from the train split comments")
     p.add_argument("--data", required=True)
-    p.add_argument("--min-count", type=int, default=4)
+    p.add_argument("--min-count", type=int, help="default: build_vocab's")
     p.set_defaults(func=_cmd_build_vocab)
 
     p = sub.add_parser("train", help="train one variant and save the best checkpoint")
@@ -387,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float)
     p.add_argument("--tune-grid", default=None,
                    help="comma-separated weight values; trains every (alpha, beta) pair briefly")
-    p.add_argument("--tune-epochs", type=int, default=2)
+    p.add_argument("--tune-epochs", type=int, default=TUNE_EPOCHS)
     p.add_argument("--epochs", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
@@ -409,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="decode a split and write the metric report")
     p.add_argument("--data", required=True)
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--beam", type=int, default=20)
+    p.add_argument("--beam", type=int, default=BEAM_SIZE)
     p.add_argument("--split", default="test", choices=["train", "valid", "test", "all"])
     p.add_argument("--max-len", type=int, default=MAX_CAPTION_LEN)
     p.add_argument("--report", required=True)
@@ -421,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--beam", type=int, default=20)
+    p.add_argument("--beam", type=int, default=BEAM_SIZE)
     p.add_argument("--max-len", type=int, default=MAX_CAPTION_LEN)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_generate)

@@ -45,42 +45,30 @@ def predict_class(model: ReviewerModel, inputs: np.ndarray) -> tuple[Label, floa
 # The most scores one beam-search round may hold: a round keeps its [live, V]
 # float64 scores and a few arrays of that size, 64 MiB each at this bound
 MAX_ROUND_SCORES = 1 << 23
-
-
-def largest_round(beam_size: int, max_len: int, vocab_size: int) -> int:
-    """Scores in beam search's largest round, the last one: its live
-    hypotheses, min(beam_size, vocab_size ** (max_len - 1)), times vocab_size.
-
-    The power is taken one factor at a time, capped at ``beam_size``, so no
-    integer grows past beam_size * vocab_size; after beam_size.bit_length()
-    factors of at least 2 the cap holds for good.
-    """
-    rows = 1
-    for _ in range(min(max_len - 1, int(beam_size).bit_length())):
-        rows = min(beam_size, rows * vocab_size)
-    return rows * vocab_size
+BEAM_SIZE = 20  # the beam width of every decode that names none
 
 
 def check_beam(beam_size: int, max_len: int, vocab_size: int | None = None) -> None:
     """``ConfigError`` unless ``beam_size`` is at least 1, ``max_len`` is in
     [1, ``MAX_CAPTION_LEN``] and, given a vocabulary size, beam search's
-    largest round holds at most ``MAX_ROUND_SCORES`` scores. The round is
-    checked before the length cap."""
+    largest round, the last, holds at most ``MAX_ROUND_SCORES`` scores: its
+    min(beam_size, vocab_size ** (max_len - 1)) live hypotheses times
+    vocab_size."""
     if beam_size < 1:
         raise ConfigError(f"beam size must be >= 1, got {beam_size}")
     if max_len < 1:
         raise ConfigError(f"max_len must be >= 1, got {max_len}")
+    if max_len > MAX_CAPTION_LEN:
+        raise ConfigError(f"max_len must be at most {MAX_CAPTION_LEN}, got {max_len}")
     if vocab_size is not None:
-        scores = largest_round(beam_size, max_len, vocab_size)
+        scores = min(beam_size, vocab_size ** (max_len - 1)) * vocab_size
         if scores > MAX_ROUND_SCORES:
             raise ConfigError(f"beam size {beam_size} with max_len {max_len} over {vocab_size} "
                               f"tokens scores {scores} candidates in one round; at most "
                               f"{MAX_ROUND_SCORES} fit")
-    if max_len > MAX_CAPTION_LEN:
-        raise ConfigError(f"max_len must be at most {MAX_CAPTION_LEN}, got {max_len}")
 
 
-def beam_search(model: ReviewerModel, inputs: np.ndarray, beam_size: int = 20,
+def beam_search(model: ReviewerModel, inputs: np.ndarray, beam_size: int = BEAM_SIZE,
                 max_len: int = MAX_CAPTION_LEN) -> list[Hypothesis]:
     """Length-synchronous beam search over raw summed log probabilities.
 

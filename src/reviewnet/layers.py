@@ -106,7 +106,7 @@ class TinyConvEncoder:
     IMAGE_SHAPE = dataset.IMAGE_SHAPE
     _FLAT = 16 * 6 * 6
 
-    def __init__(self, out_dim: int = 64, *, rng: np.random.Generator):
+    def __init__(self, out_dim: int, *, rng: np.random.Generator):
         self.conv1_kernels = uniform_param(rng, (8, 3, 3, 3))
         self.conv1_bias = uniform_param(rng, (8,))
         self.conv2_kernels = uniform_param(rng, (16, 8, 3, 3))

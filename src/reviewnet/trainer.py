@@ -18,9 +18,11 @@ from .dataset import (MAX_CAPTION_LEN, ReviewDataset, ReviewExample, Vocabulary,
                       write_atomic)
 from .errors import ConfigError, ContractError, NumericError
 from .inference import greedy_decode, predict_class, strip_end
-from .metrics import EvalPair, bleu
+from .metrics import EvalPair, bleu, overall_accuracy
 from .model import ReviewerModel
 from .tensor import Tensor, backward
+
+TUNE_EPOCHS = 2  # each grid point's short training run when tuning alpha and beta
 
 
 @dataclass
@@ -165,8 +167,8 @@ def _mean_valid_loss(model: ReviewerModel, instances: list[Instance],
 def _valid_accuracy(model: ReviewerModel, examples: list[ReviewExample]) -> float | None:
     if not model.variant.has_classifier:
         return None
-    correct = sum(int(predict_class(model, ex.inputs)[0]) == int(ex.label) for ex in examples)
-    return correct / len(examples)
+    return overall_accuracy([predict_class(model, ex.inputs)[0] for ex in examples],
+                            [ex.label for ex in examples])
 
 
 def train(model: ReviewerModel, dataset: ReviewDataset, config: TrainConfig) -> TrainResult:

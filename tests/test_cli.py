@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import shutil
@@ -12,8 +13,8 @@ from conftest import save_with_oversized_dims, two_layer_model
 from reviewnet import cli, inference, tensor
 from reviewnet.cli import _primitive_cases, main
 from reviewnet.errors import ConfigError, DataError
-from reviewnet.dataset import (FEATURES_MAGIC, RESERVED_TOKENS, Vocabulary, load_dataset,
-                              save_dataset, synth_dataset)
+from reviewnet.dataset import (FEATURES_MAGIC, RESERVED_TOKENS, Vocabulary, build_vocab,
+                              load_dataset, save_dataset, synth_dataset, tokenize)
 from reviewnet.model import CHECKPOINT_MAGIC, ModelConfig, load_checkpoint, save_checkpoint
 from reviewnet.trainer import TrainConfig
 
@@ -255,6 +256,20 @@ def test_tune_grid_on_single_task_exits_2(tmp_path, capsys):
                "--out", tmp_path / "i.ckpt", "--tune-grid", "0.5,1", *TRAIN_FLAGS) == 2
 
 
+def test_an_empty_tune_grid_exits_2_keeping_outputs(untrained, tmp_path, capsys):
+    # "" is a given grid with no points, not a left-out flag
+    data, ckpt = untrained
+    out, log = tmp_path / "m.ckpt", tmp_path / "m.csv"
+    out.write_bytes(ckpt.read_bytes())
+    log.write_bytes(b"earlier log\n")
+    for grid in ("", " ", ","):
+        assert run("train", "--data", data, "--variant", "model1", "--epochs", 0, "--out", out,
+                   "--log", log, "--tune-grid", grid, *TRAIN_FLAGS) == 2, repr(grid)
+        assert "the alpha/beta grid is empty" in capsys.readouterr().err
+        assert out.read_bytes() == ckpt.read_bytes()
+        assert log.read_bytes() == b"earlier log\n"
+
+
 def _case_primitives():
     """The primitives that grad-check's cases difference."""
     return {name.split()[0] for name, _, _ in _primitive_cases(np.random.default_rng(0))}
@@ -421,14 +436,18 @@ def test_iac_evaluate_rejects_beam_0_and_max_len_0(tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
-def test_largest_round_counts_the_last_round_without_huge_integers():
+def test_check_beam_bounds_the_last_round_at_its_closed_form(monkeypatch):
     for beam, max_len, vocab in itertools.product((1, 2, 5, 20, 217, 10 ** 8), (1, 2, 3, 7),
                                                   (4, 6, 46)):
-        want = min(beam, vocab ** (max_len - 1)) * vocab
-        assert inference.largest_round(beam, max_len, vocab) == want
-    # 10**100 rows of 923**(10**9 - 1): the count stops at the beam
-    assert inference.largest_round(10 ** 100, 10 ** 9, 923) == 10 ** 100 * 923
-    assert inference.largest_round(10 ** 100, 10 ** 9, 1) == 1
+        scores = min(beam, vocab ** (max_len - 1)) * vocab
+        monkeypatch.setattr(inference, "MAX_ROUND_SCORES", scores)
+        inference.check_beam(beam, max_len, vocab)
+        monkeypatch.setattr(inference, "MAX_ROUND_SCORES", scores - 1)
+        with pytest.raises(ConfigError, match=f"scores {scores} candidates in one round"):
+            inference.check_beam(beam, max_len, vocab)
+    # the length cap comes first, so 923 ** (10**9 - 1) is never computed
+    with pytest.raises(ConfigError, match="max_len must be at most 30, got 1000000000"):
+        inference.check_beam(10 ** 100, 10 ** 9, 923)
 
 
 BEAM_SIZES = {  # (beam, max_len, vocabulary size, fits)
@@ -438,7 +457,7 @@ BEAM_SIZES = {  # (beam, max_len, vocabulary size, fits)
     "at-the-bound": (2 ** 13, 3, 2 ** 10, True),
     "one-row-over": (2 ** 13 + 1, 3, 2 ** 10, False),
     "desk-beam-1e8": (10 ** 8, 30, 46, False),  # was OOM-killed on a desk checkpoint
-    "beam-1e100": (10 ** 100, 10 ** 9, 923, False),
+    "beam-1e100": (10 ** 100, 30, 923, False),
 }
 
 
@@ -460,8 +479,8 @@ def test_check_beam_caps_max_len_at_the_caption_length():
     for vocab in (None, 923):
         with pytest.raises(ConfigError, match="max_len must be at most 30, got 31"):
             inference.check_beam(20, 31, vocab)
-    # with a vocabulary size the round bound is checked first
-    with pytest.raises(ConfigError, match="in one round"):
+    # the length cap is checked before the round bound
+    with pytest.raises(ConfigError, match="max_len must be at most 30, got 31"):
         inference.check_beam(10 ** 8, 31, 46)
 
 
@@ -708,3 +727,43 @@ def test_train_flags_reach_their_config_fields(untrained, tmp_path, monkeypatch)
         default = TrainConfig() if name in train_fields else defaults
         assert getattr(config, name) == value != getattr(default, name), flag
     assert built["seed"] == TRAIN_CONFIG_FLAGS["--seed"][1]
+
+
+def test_flags_left_out_fall_back_to_the_library_defaults(untrained, tmp_path, monkeypatch):
+    # synth-data writes what synth_dataset writes with its own defaults
+    given, library = tmp_path / "cli", tmp_path / "api"
+    assert run("synth-data", "--seed", 3, "--n-images", 12, "--out", given) == 0
+    save_dataset(synth_dataset(3, 12), library)
+    names = sorted(path.name for path in library.iterdir())
+    assert sorted(path.name for path in given.iterdir()) == names
+    for name in names:
+        assert (given / name).read_bytes() == (library / name).read_bytes(), name
+
+    # build-vocab keeps what build_vocab keeps, over words seen 1 to 6 times, so
+    # that any other min count keeps another set of them
+    ds = load_dataset(library)
+    ds.split("train")[0].comments.append(" ".join(f"w{n}" for n in range(1, 7) for _ in range(n)))
+    save_dataset(ds, given)
+    assert run("build-vocab", "--data", given) == 0
+    build_vocab([tokenize(c) for ex in ds.split("train") for c in ex.comments]).save(
+        library / "vocab.txt")
+    assert (given / "vocab.txt").read_bytes() == (library / "vocab.txt").read_bytes()
+
+    # evaluate and generate decode at BEAM_SIZE
+    assert inference.BEAM_SIZE == 20
+    beams = []
+
+    def search(*args, **kwargs):
+        bound = inspect.signature(inference.beam_search).bind(*args, **kwargs)
+        bound.apply_defaults()
+        beams.append(bound.arguments["beam_size"])
+        return inference.beam_search(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "beam_search", search)
+    data, ckpt = untrained
+    assert run("evaluate", "--data", data, "--ckpt", ckpt, "--report", tmp_path / "r.json") == 0
+    evaluated = len(beams)
+    assert run("generate", "--ckpt", ckpt, "--features", data / "features.bin",
+               "--vocab", data / "vocab.txt", "--out", tmp_path / "g.txt") == 0
+    assert 0 < evaluated < len(beams)
+    assert set(beams) == {inference.BEAM_SIZE}
