@@ -200,6 +200,8 @@ LOW_TEMPLATES = (
 
 COMMENTS_PER_IMAGE = 6
 FEATURE_NOISE = 1.0  # standard deviation of the per-image feature noise
+# synth_dataset's bounds: 1 GiB of float64 inputs, and 20x AVA-Reviews' 52,118 images
+MAX_SYNTH_VALUES, MAX_SYNTH_IMAGES = 1 << 27, 1 << 20
 
 
 def _split_sizes(per_class: int) -> tuple[int, int, int]:
@@ -229,6 +231,10 @@ def synth_dataset(seed: int, n_images: int, *, feature_dim: int = 16,
         raise ConfigError(f"feature_dim must be >= 1, got {feature_dim}")
     if modality not in ("features", "images"):
         raise ConfigError(f"modality must be 'features' or 'images', got {modality!r}")
+    width = feature_dim if modality == "features" else math.prod(IMAGE_SHAPE)
+    if n_images > MAX_SYNTH_IMAGES or n_images * width > MAX_SYNTH_VALUES:
+        raise ConfigError(f"{n_images} images of {width} values exceed the bounds of "
+                          f"{MAX_SYNTH_IMAGES} images and {MAX_SYNTH_VALUES} values")
     low_templates, high_templates = templates or (LOW_TEMPLATES, HIGH_TEMPLATES)
     rng = np.random.default_rng(seed)
     per_class = n_images // 2

@@ -13,7 +13,6 @@ from .tensor import (Tensor, conv2d, embedding_lookup, linear, lstm_sequence, ma
 
 
 INIT_RANGE = 0.08
-FORGET_GATE_BIAS = 1.0
 
 
 def uniform_param(rng: np.random.Generator, shape) -> Tensor:
@@ -24,33 +23,22 @@ def uniform_param(rng: np.random.Generator, shape) -> Tensor:
 class Dense:
     """y = W x + b, or W x without a bias."""
 
-    def __init__(self, out_dim: int, in_dim: int, *, rng: np.random.Generator,
-                 bias: bool = True):
-        self.weight = uniform_param(rng, (out_dim, in_dim))
-        self.bias = uniform_param(rng, (out_dim,)) if bias else None
+    def __init__(self, weight: Tensor, bias: Tensor | None = None):
+        self.weight, self.bias = weight, bias
 
     def __call__(self, x: Tensor) -> Tensor:
         """Applies to one vector or to every row of [..., in_dim]."""
         return linear(x, self.weight, self.bias)
 
-    def named_params(self, prefix: str) -> dict[str, Tensor]:
-        out = {f"{prefix}.weight": self.weight}
-        if self.bias is not None:
-            out[f"{prefix}.bias"] = self.bias
-        return out
-
 
 class EmbeddingTable:
     """Token id to dense vector lookup over a [vocab, dim] table."""
 
-    def __init__(self, vocab_size: int, embed_dim: int, *, rng: np.random.Generator):
-        self.table = uniform_param(rng, (vocab_size, embed_dim))
+    def __init__(self, table: Tensor):
+        self.table = table
 
     def __call__(self, token_id) -> Tensor:
         return embedding_lookup(self.table, token_id)
-
-    def named_params(self, prefix: str = "embedding") -> dict[str, Tensor]:
-        return {f"{prefix}.table": self.table}
 
 
 class LSTMState(NamedTuple):
@@ -65,14 +53,9 @@ class LSTMState(NamedTuple):
 class LSTMCell:
     """One LSTM cell; gate rows are ordered input, forget, candidate, output."""
 
-    def __init__(self, input_dim: int, hidden_dim: int, *, rng: np.random.Generator):
-        self.input_dim = input_dim
-        self.hidden_dim = hidden_dim
-        self.w_input = uniform_param(rng, (4 * hidden_dim, input_dim))
-        self.w_hidden = uniform_param(rng, (4 * hidden_dim, hidden_dim))
-        self.bias = uniform_param(rng, (4 * hidden_dim,))
-        # biasing the forget gate open eases gradient flow through long unrolls
-        self.bias.data[hidden_dim:2 * hidden_dim] = FORGET_GATE_BIAS
+    def __init__(self, w_input: Tensor, w_hidden: Tensor, bias: Tensor):
+        self.w_input, self.w_hidden, self.bias = w_input, w_hidden, bias
+        self.input_dim, self.hidden_dim = w_input.data.shape[1], w_hidden.data.shape[1]
 
     def step(self, state: LSTMState, x: Tensor) -> LSTMState:
         """One step from one state: the one-row, one-step case of ``sequence``."""
@@ -88,30 +71,36 @@ class LSTMCell:
         zero state over all T steps."""
         return lstm_sequence(x, None, None, self.w_input, self.w_hidden, self.bias)[0]
 
-    def named_params(self, prefix: str) -> dict[str, Tensor]:
-        return {
-            f"{prefix}.w_input": self.w_input,
-            f"{prefix}.w_hidden": self.w_hidden,
-            f"{prefix}.bias": self.bias,
-        }
-
 
 class TinyConvEncoder:
     """Small trainable image encoder: two conv/relu/pool stages and a dense head.
 
-    Input is fixed at 3x32x32; the stage arithmetic below pins the flattened
-    width (32 -> 30 -> 15 -> 13 -> 6 spatially).
+    Input is fixed at 3x32x32; the stage arithmetic pins the head's input
+    width (32 -> 30 -> 15 -> 13 -> 6 spatially, 16 channels).
     """
 
     IMAGE_SHAPE = dataset.IMAGE_SHAPE
-    _FLAT = 16 * 6 * 6
+
+    @staticmethod
+    def shapes(out_dim: int) -> dict[str, tuple[int, ...]]:
+        """Name and shape of each parameter, in draw order."""
+        return {"conv1.kernels": (8, 3, 3, 3), "conv1.bias": (8,), "conv2.kernels": (16, 8, 3, 3),
+                "conv2.bias": (16,), "fc.weight": (out_dim, 16 * 6 * 6), "fc.bias": (out_dim,)}
 
     def __init__(self, out_dim: int, *, rng: np.random.Generator):
-        self.conv1_kernels = uniform_param(rng, (8, 3, 3, 3))
-        self.conv1_bias = uniform_param(rng, (8,))
-        self.conv2_kernels = uniform_param(rng, (16, 8, 3, 3))
-        self.conv2_bias = uniform_param(rng, (16,))
-        self.fc = Dense(out_dim, self._FLAT, rng=rng)
+        """A freshly drawn encoder with ``out_dim`` outputs."""
+        self._hold(*(uniform_param(rng, shape) for shape in self.shapes(out_dim).values()))
+
+    @classmethod
+    def holding(cls, *tensors: Tensor) -> "TinyConvEncoder":
+        """An encoder holding ``tensors``, one per entry of ``shapes`` in its order."""
+        return cls.__new__(cls)._hold(*tensors)
+
+    def _hold(self, conv1_kernels, conv1_bias, conv2_kernels, conv2_bias, *fc) -> "TinyConvEncoder":
+        self.conv1_kernels, self.conv1_bias = conv1_kernels, conv1_bias
+        self.conv2_kernels, self.conv2_bias = conv2_kernels, conv2_bias
+        self.fc = Dense(*fc)
+        return self
 
     def __call__(self, images: Tensor) -> Tensor:
         """One image [3,32,32] to a vector, or a batch [B,3,32,32] to rows."""
@@ -122,13 +111,3 @@ class TinyConvEncoder:
         y = max_pool2(relu(conv2d(y, self.conv1_kernels, self.conv1_bias)))
         y = max_pool2(relu(conv2d(y, self.conv2_kernels, self.conv2_bias)))
         return self.fc(reshape(y, shape[:-3] + (-1,)))
-
-    def named_params(self, prefix: str = "encoder") -> dict[str, Tensor]:
-        out = {
-            f"{prefix}.conv1.kernels": self.conv1_kernels,
-            f"{prefix}.conv1.bias": self.conv1_bias,
-            f"{prefix}.conv2.kernels": self.conv2_kernels,
-            f"{prefix}.conv2.bias": self.conv2_bias,
-        }
-        out.update(self.fc.named_params(f"{prefix}.fc"))
-        return out

@@ -22,11 +22,16 @@ import numpy as np
 
 from .dataset import END_ID, PAD_ID, START_ID, write_atomic
 from .errors import ConfigError, ContractError, DataError, ShapeError
-from .layers import Dense, EmbeddingTable, LSTMCell, TinyConvEncoder
+from .layers import Dense, EmbeddingTable, LSTMCell, TinyConvEncoder, uniform_param
 from .tensor import (Tensor, add, concat, dropout, linear_cross_entropy, lstm_cell, relu,
                      reshape, scale)
 
 CHECKPOINT_MAGIC = b"NAIRCKPT1"
+FORGET_GATE_BIAS = 1.0
+MAX_PARAMETERS = 1 << 27  # 1 GiB of float64: 5.5x model2 at width 512 with 20,000 tokens
+# checked before the layout is listed: at width 1, 11 M layers stay under
+# MAX_PARAMETERS; the paper stacks one layer and no caller more than three
+MAX_LSTM_LAYERS = 1024
 
 
 class Variant(str, Enum):
@@ -92,7 +97,55 @@ def _resolve_config(variant: Variant, config: ModelConfig) -> ModelConfig:
             raise ConfigError(f"{name} must be positive, got {getattr(resolved, name)}")
     if variant.has_generator and resolved.vocab_size < 4:
         raise ConfigError("vocabulary must include the four reserved specials")
+    if resolved.lstm_layers > MAX_LSTM_LAYERS:
+        raise ConfigError(f"at most {MAX_LSTM_LAYERS} lstm_layers fit, got {resolved.lstm_layers}")
+    total = sum(math.prod(shape) for shape in _param_shapes(variant, resolved).values())
+    if total > MAX_PARAMETERS:
+        raise ConfigError(f"the widths make {total} parameters; at most {MAX_PARAMETERS} fit")
     return resolved
+
+
+def _param_shapes(variant: Variant, cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter at the resolved widths ``cfg``, in
+    draw order, which is the order of the clip norm's sum and of the gradient
+    check's coordinate draws."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    if variant.modality == "images":
+        shapes.update({f"encoder.{name}": shape
+                       for name, shape in TinyConvEncoder.shapes(cfg.feature_dim).items()})
+    # the width of both task representations
+    rep_dim = cfg.feature_dim
+    widths = _REPRESENTATION_WIDTHS.get(variant, {})
+    if "shared_dim" in widths:
+        shapes["shared.weight"] = (cfg.shared_dim, cfg.feature_dim)
+        rep_dim = cfg.shared_dim
+    if "specific_dim" in widths:
+        shapes["cls_specific.weight"] = (cfg.specific_dim, cfg.feature_dim)
+        shapes["gen_specific.weight"] = (cfg.specific_dim, cfg.feature_dim)
+        rep_dim += cfg.specific_dim
+    if variant.has_classifier:
+        shapes.update({"classifier.weight": (2, rep_dim), "classifier.bias": (2,)})
+    if variant.has_generator:
+        shapes["embedding.table"] = (cfg.vocab_size, cfg.embed_dim)
+        gates = 4 * cfg.hidden_dim
+        for k in range(cfg.lstm_layers):
+            shapes[f"lstm{k}.w_input"] = (gates, cfg.embed_dim if k == 0 else cfg.hidden_dim)
+            shapes[f"lstm{k}.w_hidden"] = (gates, cfg.hidden_dim)
+            shapes[f"lstm{k}.bias"] = (gates,)
+        shapes.update({"out_proj.weight": (cfg.vocab_size, cfg.hidden_dim),
+                       "out_proj.bias": (cfg.vocab_size,)})
+        if rep_dim != cfg.embed_dim:
+            shapes.update({"gen_adapter.weight": (cfg.embed_dim, rep_dim),
+                           "gen_adapter.bias": (cfg.embed_dim,)})
+    return shapes
+
+
+def _check_fit(arrays: dict[str, np.ndarray], variant: Variant, config: ModelConfig) -> None:
+    """Raises ContractError naming each array missing from, extra to or unlike the layout."""
+    shapes = {name: array.shape for name, array in arrays.items()}
+    misfits = {name for name, _ in shapes.items() ^ _param_shapes(variant, config).items()}
+    if misfits:
+        raise ContractError(f"arrays {sorted(misfits)} do not fit the {variant.value} layout")
 
 
 @dataclass
@@ -115,58 +168,22 @@ class ReviewerModel:
     def __init__(self, variant: Variant | str, config: ModelConfig, seed: int = 0):
         self.variant = Variant(variant)
         self.config = _resolve_config(self.variant, config)
-        cfg = self.config
         rng = np.random.default_rng(seed)
-
-        def feature_dense(out_dim: int) -> Dense:
-            return Dense(out_dim, cfg.feature_dim, rng=rng, bias=False)
-
-        self.encoder = None
-        if self.variant.modality == "images":
-            self.encoder = TinyConvEncoder(cfg.feature_dim, rng=rng)
-
-        widths = _REPRESENTATION_WIDTHS.get(self.variant, {})
-        self.shared = self.cls_specific = self.gen_specific = None
-        if "shared_dim" in widths:
-            self.shared = feature_dense(cfg.shared_dim)
-        if "specific_dim" in widths:
-            self.cls_specific = feature_dense(cfg.specific_dim)
-            self.gen_specific = feature_dense(cfg.specific_dim)
-
-        # the width of both task representations
-        rep_dim = cfg.feature_dim
-        if self.shared is not None:
-            rep_dim = sum(layer.weight.data.shape[0]
-                          for layer in (self.cls_specific, self.shared) if layer is not None)
-        self.classifier = None
-        if self.variant.has_classifier:
-            self.classifier = Dense(2, rep_dim, rng=rng)
-
-        self.embedding = None
-        self.cells: list[LSTMCell] = []
-        self.out_proj = None
-        self.gen_adapter = None
-        if self.variant.has_generator:
-            self.embedding = EmbeddingTable(cfg.vocab_size, cfg.embed_dim, rng=rng)
-            self.cells = [
-                LSTMCell(cfg.embed_dim if k == 0 else cfg.hidden_dim, cfg.hidden_dim, rng=rng)
-                for k in range(cfg.lstm_layers)
-            ]
-            self.out_proj = Dense(cfg.vocab_size, cfg.hidden_dim, rng=rng)
-            if rep_dim != cfg.embed_dim:
-                self.gen_adapter = Dense(cfg.embed_dim, rep_dim, rng=rng)
-
-        # registration order is the order of the clip norm's sum and of the
-        # gradient check's coordinate draws
-        layers = [("encoder", self.encoder), ("shared", self.shared),
-                  ("cls_specific", self.cls_specific), ("gen_specific", self.gen_specific),
-                  ("classifier", self.classifier), ("embedding", self.embedding),
-                  *((f"lstm{k}", cell) for k, cell in enumerate(self.cells)),
-                  ("out_proj", self.out_proj), ("gen_adapter", self.gen_adapter)]
-        self.params: dict[str, Tensor] = {}
-        for prefix, layer in layers:
-            if layer is not None:
-                self.params.update(layer.named_params(prefix))
+        p = self.params = {name: uniform_param(rng, shape)
+                           for name, shape in _param_shapes(self.variant, self.config).items()}
+        # the dense layers; a variant without one holds None
+        for name in ("shared", "cls_specific", "gen_specific", "classifier", "out_proj",
+                     "gen_adapter"):
+            w = p.get(f"{name}.weight")
+            setattr(self, name, Dense(w, p.get(f"{name}.bias")) if w is not None else None)
+        encoder = [t for name, t in p.items() if name.startswith("encoder.")]
+        self.encoder = TinyConvEncoder.holding(*encoder) if encoder else None
+        self.embedding = EmbeddingTable(p["embedding.table"]) if "embedding.table" in p else None
+        self.cells = [LSTMCell(p[f"lstm{k}.w_input"], p[f"lstm{k}.w_hidden"], p[f"lstm{k}.bias"])
+                      for k in range(self.config.lstm_layers) if f"lstm{k}.bias" in p]
+        for cell in self.cells:
+            # biasing the forget gate open eases gradient flow through long unrolls
+            cell.bias.data[cell.hidden_dim:2 * cell.hidden_dim] = FORGET_GATE_BIAS
 
     # -- forward ------------------------------------------------------------
 
@@ -314,14 +331,9 @@ class ReviewerModel:
         return {name: p.data.copy() for name, p in self.params.items()}
 
     def load_param_state(self, state: dict[str, np.ndarray]) -> None:
-        if set(state) != set(self.params):
-            raise ContractError(f"parameter names do not match this model's layout: "
-                                f"{sorted(set(state) ^ set(self.params))}")
+        _check_fit(state, self.variant, self.config)
         for name, arr in state.items():
-            p = self.params[name]
-            if p.data.shape != arr.shape:
-                raise ShapeError(f"parameter {name}: shape {arr.shape} != {p.data.shape}")
-            p.data[...] = arr
+            self.params[name].data[...] = arr
 
     # -- inference fast path ---------------------------------------------------
 
@@ -447,7 +459,10 @@ def load_checkpoint(path: str | Path) -> ReviewerModel:
             arrays[name] = np.frombuffer(read(8 * math.prod(dims)), "<f8").reshape(dims).copy()
             if not np.isfinite(arrays[name]).all():
                 raise ValueError(f"parameter {name} contains non-finite values")
-        model = ReviewerModel(variant, _infer_config(arrays), seed=0)
+        # checked before a model is built, so no record's dims size an allocation
+        config = _resolve_config(variant, _infer_config(arrays))
+        _check_fit(arrays, variant, config)
+        model = ReviewerModel(variant, config, seed=0)
         model.load_param_state(arrays)
     except KeyError as exc:
         raise DataError(f"{path}: the checkpoint is missing parameter {exc}") from None
@@ -458,7 +473,7 @@ def load_checkpoint(path: str | Path) -> ReviewerModel:
 
 def _infer_config(arrays: dict[str, np.ndarray]) -> ModelConfig:
     """The widths that ``arrays`` imply; a missing parameter is a KeyError, or
-    a name mismatch when the model built from them loads ``arrays``."""
+    a record that does not fit the layout of these widths."""
     if "embedding.table" in arrays:
         vocab_size, embed_dim = arrays["embedding.table"].shape
         hidden_dim = arrays["lstm0.w_hidden"].shape[1]

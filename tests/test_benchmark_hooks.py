@@ -65,18 +65,25 @@ def test_rescore_of_one_example_matches_score_caption(load_perfbench, variant, r
         score_caption(model, inputs, tokens), abs=1e-9)
 
 
-def test_layer_probes_run_on_one_example(load_perfbench, monkeypatch, rng):
+@pytest.mark.parametrize("variants", [(Variant.V2L, Variant.MT_BASELINE), (Variant.V2L,)],
+                         ids=["model-encoder", "own-encoder"])
+def test_layer_probes_run_on_one_example(load_perfbench, monkeypatch, rng, variants):
     # the probes call the encoder on one unbatched image, LSTMCell.step on one
-    # state, and count the tape of instance_loss on one instance
+    # state, and count the tape of instance_loss on one instance; without an
+    # image variant they build their own encoder, as the paper-width and
+    # large-vocab runs do
     probes = load_perfbench("probes")
     monkeypatch.setattr(probes, "PROBE_MAX_CALLS", 2)
     jobs = []
-    for variant, inputs in ((Variant.V2L, rng.normal(size=8)),
-                            (Variant.MT_BASELINE, rng.random(TinyConvEncoder.IMAGE_SHAPE))):
+    for variant in variants:
+        inputs = (rng.random(TinyConvEncoder.IMAGE_SHAPE) if variant.modality == "images"
+                  else rng.normal(size=8))
         jobs.append(SimpleNamespace(variant=variant, model=tiny_model(variant, seed=2),
                                     config=TrainConfig(),
                                     instances=[Instance("img", inputs, 1, (4, 5))]))
-    assert jobs[1].model.encoder(Tensor(jobs[1].instances[0].inputs)).data.shape == (8,)
+    for job in jobs:
+        if job.model.encoder is not None:
+            assert job.model.encoder(Tensor(job.instances[0].inputs)).data.shape == (8,)
     timings = probes.layer_timings(jobs, seed=0)
     assert timings and all(len(samples) == 2 for samples in timings.values())
     nodes, megabytes = probes.tape_counts(jobs)

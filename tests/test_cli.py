@@ -1,8 +1,11 @@
 import inspect
 import itertools
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -163,6 +166,13 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     for variant, flag, value in (("model1", "--shared-dim", 0), ("model1", "--shared-dim", -3),
                                  ("model2", "--shared-dim", 0), ("model2", "--specific-dim", 0)):
         assert run("train", "--data", data, "--variant", variant, "--epochs", 1,
+                   "--out", ckpt, *TRAIN_FLAGS, flag, value) == 2
+        assert not ckpt.exists()
+    # a width whose parameters cannot be held, refused before any draw
+    # (the widths asked for 15.3, 18.6 and 119 GiB before they were bounded)
+    for flag, value in (("--hidden-dim", 1000000), ("--embed-dim", 100000000),
+                        ("--shared-dim", 1000000000)):
+        assert run("train", "--data", data, "--variant", "model1", "--epochs", 1,
                    "--out", ckpt, *TRAIN_FLAGS, flag, value) == 2
         assert not ckpt.exists()
     # while the width of a layer the variant does not have is ignored
@@ -626,6 +636,9 @@ READER_FAULTS = {  # fault: (corrupted file, corruption, what the message adds t
                                          _resave({"lstm0.w_hidden": np.zeros(16)}), ": "),
     "checkpoint-two-token-vocabulary": ("m1.ckpt",
                                         _resave({"embedding.table": np.zeros((2, 16))}), ": "),
+    # no payload, but dims whose layout needs 2^42 hidden weights (32 TiB)
+    "checkpoint-hidden-dims-without-payload": (
+        "m1.ckpt", _resave({"lstm0.w_hidden": np.zeros((0, 1 << 20))}), ": the widths make"),
 }
 
 
@@ -663,6 +676,68 @@ def test_reader_faults_are_data_errors_naming_the_file(untrained, tmp_path, caps
     assert not list(tmp_path.rglob("*.tmp"))
     for path, content in previous.items():
         assert path.read_bytes() == content
+
+
+# ---------------------------------------------------------------------------
+# sizes: a size that a flag or a file names is refused before anything it
+# sizes is allocated, which an address-space limit shows
+
+
+ADDRESS_SPACE = 3 * 10**9  # bytes: numpy runs well inside it, and no size case fits
+# runs each command of the JSON argv list in this one process under the
+# limit, and prints the exit code, seconds and stderr of each
+_LIMITED_RUNS = """
+import contextlib, io, json, resource, sys, time
+limit, commands = json.loads(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from reviewnet.cli import main
+results = []
+for argv in commands:
+    err = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append((code, time.perf_counter() - start, err.getvalue()))
+print(json.dumps(results))
+"""
+
+
+def test_sizes_are_refused_before_they_are_allocated(untrained, tmp_path):
+    # the deep stack and the image count are run only here: before they were
+    # bounded, each built layers or examples until memory ran out
+    data, _ = untrained
+    ckpt, out = tmp_path / "v2l.ckpt", tmp_path / "out"
+    model = two_layer_model("v2l")
+    model.params["lstm0.w_hidden"].data = np.zeros((0, 1 << 20))
+    save_checkpoint(model, ckpt)
+    train = ["train", "--data", data, "--variant", "model1", "--epochs", 1, "--out", out]
+    synth = ["synth-data", "--seed", 3, "--out", out]
+    cases = {  # case: (exit code, argv)
+        "train-hidden-dim": (2, [*train, "--hidden-dim", 1000000]),
+        "train-embed-dim": (2, [*train, "--embed-dim", 100000000]),
+        "train-shared-dim": (2, [*train, "--shared-dim", 1000000000]),
+        "train-lstm-layers": (2, [*train, "--lstm-layers", 100000000]),
+        "synth-data-n-images": (2, [*synth, "--n-images", 1000000000]),
+        "synth-data-feature-dim": (2, [*synth, "--n-images", 12, "--feature-dim", 1000000000]),
+        "generate-hidden-dims-without-payload": (
+            3, ["generate", "--ckpt", ckpt, "--features", data / "features.bin",
+                "--vocab", data / "vocab.txt", "--out", out]),
+        "evaluate-hidden-dims-without-payload": (
+            3, ["evaluate", "--data", data, "--ckpt", ckpt, "--report", out]),
+    }
+    commands = [[str(a) for a in argv] for _, argv in cases.values()]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", _LIMITED_RUNS,
+                           json.dumps([ADDRESS_SPACE, commands])],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    for (case, (code, _)), (got, seconds, err) in zip(cases.items(), json.loads(proc.stdout)):
+        assert got == code, f"{case}: {err}"
+        assert err.startswith("usage error:" if code == 2 else "data error:"), case
+        assert "Traceback" not in err and seconds < 1.0, case
+    assert [path.name for path in tmp_path.iterdir()] == ["v2l.ckpt"]
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,19 @@ def test_synth_requires_even_count():
         synth_dataset(0, 0)
 
 
+def test_synth_bounds_its_images_and_values_before_it_draws(monkeypatch):
+    monkeypatch.setattr("reviewnet.dataset.MAX_SYNTH_IMAGES", 10)
+    monkeypatch.setattr("reviewnet.dataset.MAX_SYNTH_VALUES", 2 * 3 * 32 * 32)
+    assert len(synth_dataset(0, 10, feature_dim=600).examples) == 10
+    assert len(synth_dataset(0, 2, modality="images").examples) == 2
+    monkeypatch.setattr("numpy.random.default_rng", None)  # nothing may be drawn below
+    for n_images, kwargs, width in ((12, {"feature_dim": 1}, 1), (10, {"feature_dim": 615}, 615),
+                                    (4, {"modality": "images"}, 3072)):
+        with pytest.raises(ConfigError, match=f"{n_images} images of {width} values exceed the "
+                                              f"bounds of 10 images and 6144 values"):
+            synth_dataset(0, n_images, **kwargs)
+
+
 def test_synth_splits_are_disjoint_and_cover():
     ds = synth_dataset(5, 40)
     ids = {name: {ex.example_id for ex in ds.split(name)} for name in ("train", "valid", "test")}

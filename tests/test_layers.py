@@ -3,12 +3,15 @@ import pytest
 
 from reviewnet import oracles
 from reviewnet.errors import ShapeError
-from reviewnet.layers import Dense, EmbeddingTable, LSTMCell, LSTMState, TinyConvEncoder
+from reviewnet.layers import (Dense, EmbeddingTable, LSTMCell, LSTMState, TinyConvEncoder,
+                              uniform_param)
 from reviewnet.tensor import Tensor, backward, conv2d, max_pool2, mul, relu, sum_all
 
 
 def make_cell(rng, input_dim=3, hidden_dim=4):
-    return LSTMCell(input_dim, hidden_dim, rng=rng)
+    gates = 4 * hidden_dim
+    return LSTMCell(*(uniform_param(rng, shape)
+                      for shape in ((gates, input_dim), (gates, hidden_dim), (gates,))))
 
 
 def test_lstm_all_zero_parameters_give_zero_state(rng):
@@ -56,12 +59,6 @@ def test_lstm_width_mismatch(rng):
         cell.step(LSTMState.zeros(4), Tensor(np.zeros(5)))
 
 
-def test_lstm_forget_gate_bias_preset(rng):
-    cell = make_cell(rng)
-    hd = cell.hidden_dim
-    assert np.all(cell.bias.data[hd:2 * hd] == 1.0)
-
-
 def test_lstm_gradients_match_finite_differences(rng):
     cell = make_cell(rng, input_dim=3, hidden_dim=3)
     x_data = rng.normal(size=3)
@@ -82,13 +79,13 @@ def test_lstm_gradients_match_finite_differences(rng):
 
 
 def test_dense_without_bias_is_pure_matmul(rng):
-    layer = Dense(3, 4, rng=rng, bias=False)
+    layer = Dense(uniform_param(rng, (3, 4)))
     x = rng.normal(size=4)
     assert np.max(np.abs(layer(Tensor(x)).data - layer.weight.data @ x)) <= 1e-12
 
 
 def test_embedding_rows_not_looked_up_stay_zero_grad(rng):
-    table = EmbeddingTable(6, 3, rng=rng)
+    table = EmbeddingTable(uniform_param(rng, (6, 3)))
     loss = sum_all(table(2))
     backward(loss)
     grads = table.table.grad

@@ -1,4 +1,6 @@
+import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,9 +9,10 @@ from conftest import (oracle_decoder, randomize_params, save_with_oversized_dims
                       two_layer_model)
 from reviewnet import oracles
 from reviewnet.dataset import END_ID, START_ID
-from reviewnet.errors import ContractError, DataError, ShapeError
+from reviewnet.errors import ConfigError, ContractError, DataError, ShapeError
 from reviewnet.inference import beam_search, predict_class, score_caption
-from reviewnet.model import (CHECKPOINT_MAGIC, ModelConfig, ReviewerModel, Variant,
+from reviewnet.model import (CHECKPOINT_MAGIC, MAX_LSTM_LAYERS, MAX_PARAMETERS, ModelConfig,
+                             ReviewerModel, Variant, _param_shapes, _resolve_config,
                              load_checkpoint, save_checkpoint)
 from reviewnet.tensor import Tensor, backward, topo_order
 
@@ -297,6 +300,59 @@ def test_stacked_lstm_depth_knob(rng, tmp_path):
     assert np.array_equal(loaded.params["lstm1.w_input"].data, model.params["lstm1.w_input"].data)
 
 
+def test_lstm_forget_gate_bias_preset():
+    model = tiny_model("v2l", lstm_layers=2)
+    for cell in model.cells:
+        hd = cell.hidden_dim
+        assert np.all(cell.bias.data[hd:2 * hd] == 1.0)
+
+
+@pytest.mark.parametrize("adapter", [False, True])
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("variant", [v.value for v in Variant])
+def test_param_shapes_list_the_built_parameters_in_order(variant, layers, adapter):
+    # an embedding narrower than the 8-wide representation gives every
+    # captioner an adapter
+    model = tiny_model(variant, lstm_layers=layers, embed_dim=6 if adapter else 8)
+    assert ("gen_adapter.weight" in model.params) == (adapter and model.variant.has_generator)
+    built = [(name, array.shape) for name, array in model.param_state().items()]
+    assert list(_param_shapes(model.variant, model.config).items()) == built
+
+
+def _no_draw(rng, shape):
+    raise AssertionError(f"a parameter of shape {shape} was drawn")
+
+
+def test_the_parameter_bound_is_checked_before_any_draw(monkeypatch):
+    n = sum(p.data.size for p in tiny_model("model2").params.values())
+    monkeypatch.setattr("reviewnet.model.MAX_PARAMETERS", n)
+    tiny_model("model2")
+    monkeypatch.setattr("reviewnet.model.MAX_PARAMETERS", n - 1)
+    monkeypatch.setattr("reviewnet.model.uniform_param", _no_draw)
+    with pytest.raises(ConfigError, match=f"make {n} parameters; at most {n - 1} fit"):
+        tiny_model("model2")
+
+
+def test_the_parameter_bound_leaves_room_for_the_paper_widths():
+    # model2 at width 512 on 2048-d features, with a 20,000-token vocabulary
+    config = _resolve_config(Variant.MODEL_II, ModelConfig(vocab_size=20_000))
+    total = sum(math.prod(shape) for shape in _param_shapes(Variant.MODEL_II, config).values())
+    assert 20_000_000 < total < MAX_PARAMETERS / 5
+
+
+def test_lstm_depth_is_bounded_before_the_layout_is_listed(monkeypatch):
+    narrow = ModelConfig(vocab_size=10, feature_dim=1, embed_dim=1, hidden_dim=1)
+    deepest = _resolve_config(Variant.V2L, replace(narrow, lstm_layers=MAX_LSTM_LAYERS))
+    assert len(_param_shapes(Variant.V2L, deepest)) == 3 * MAX_LSTM_LAYERS + 3
+    def no_layout(variant, config):
+        raise AssertionError("the layout of a stack past the bound was listed")
+
+    monkeypatch.setattr("reviewnet.model._param_shapes", no_layout)
+    too_deep = replace(narrow, lstm_layers=MAX_LSTM_LAYERS + 1)
+    with pytest.raises(ConfigError, match=f"at most {MAX_LSTM_LAYERS} lstm_layers fit, got 1025"):
+        _resolve_config(Variant.V2L, too_deep)
+
+
 def test_modality_guards(rng):
     frozen = tiny_model("model1")
     with pytest.raises(ShapeError):
@@ -468,6 +524,38 @@ def test_checkpoint_with_oversized_dims_is_a_data_error(tmp_path):
     path = tmp_path / "m.ckpt"
     save_with_oversized_dims(two_layer_model("v2l"), path)
     with pytest.raises(DataError, match="truncated"):
+        load_checkpoint(path)
+
+
+# fault: (records replaced, or dropped where None, in a tiny v2l checkpoint;
+# what the error says)
+LAYOUT_FAULTS = {
+    # no payload, but the widths ask for 2^42 hidden weights
+    "hidden-dims-without-payload": ({"lstm0.w_hidden": np.zeros((0, 1 << 20))},
+                                    f"at most {MAX_PARAMETERS} fit"),
+    "short-output-bias": ({"out_proj.bias": np.zeros(3)}, r"\['out_proj.bias'\] do not fit"),
+    "dropped-output-bias": ({"out_proj.bias": None}, r"\['out_proj.bias'\] do not fit"),
+    "stray-record": ({"stray": np.zeros(2)}, r"\['stray'\] do not fit"),
+    "half-a-second-layer": ({"lstm1.w_hidden": np.zeros((32, 8))},
+                            r"\['lstm1.bias', 'lstm1.w_input'\] do not fit"),
+    "classifier-on-a-captioner": ({"classifier.weight": np.zeros((2, 8))},
+                                  r"\['classifier.weight'\] do not fit"),
+}
+
+
+@pytest.mark.parametrize("fault", LAYOUT_FAULTS)
+def test_checkpoint_records_must_fit_their_layout_before_any_draw(tmp_path, monkeypatch, fault):
+    records, message = LAYOUT_FAULTS[fault]
+    model = tiny_model("v2l")
+    for name, value in records.items():
+        if value is None:
+            del model.params[name]
+        else:
+            model.params[name] = Tensor(value)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    monkeypatch.setattr("reviewnet.model.uniform_param", _no_draw)
+    with pytest.raises(DataError, match=message):
         load_checkpoint(path)
 
 
