@@ -337,6 +337,8 @@ def _cmd_generate(args) -> int:
     check_beam(args.beam, args.max_len)
     _check_outputs(args.out)
     _, rows = read_payload(args.features)
+    if not len(rows):
+        raise DataError(f"{args.features} holds no rows to caption")
     vocab = Vocabulary.load(args.vocab)
     model = load_checkpoint(args.ckpt)
     if not model.variant.has_generator:

@@ -14,7 +14,7 @@ import numpy as np
 from .dataset import END_ID, MAX_CAPTION_LEN, Label
 from .errors import ConfigError, ContractError, ShapeError
 from .model import ReviewerModel
-from .tensor import _int_indices
+from .tensor import _int_indices, linear
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,8 @@ def predict_class(model: ReviewerModel, inputs: np.ndarray) -> tuple[Label, floa
     if not model.variant.has_classifier:
         raise ContractError(f"variant {model.variant.value} has no classifier head")
     rep_cls, _ = model.example_representation(inputs)
-    logits = model.classifier(rep_cls).data
+    p = model.params
+    logits = linear(rep_cls, p["classifier.weight"], p["classifier.bias"]).data
     e = np.exp(logits - logits.max())
     probs = e / e.sum()
     pred = int(np.argmax(logits))  # argmax returns the first max, i.e. Low on ties

@@ -1,4 +1,4 @@
-"""Trainable layers: dense transform, embedding table, LSTM cell, tiny conv encoder."""
+"""Trainable layers: LSTM cell, tiny conv encoder."""
 
 from __future__ import annotations
 
@@ -8,8 +8,7 @@ import numpy as np
 
 from . import dataset
 from .errors import ShapeError
-from .tensor import (Tensor, conv2d, embedding_lookup, linear, lstm_sequence, max_pool2, relu,
-                     reshape)
+from .tensor import Tensor, conv2d, linear, lstm_sequence, max_pool2, relu, reshape
 
 
 INIT_RANGE = 0.08
@@ -18,27 +17,6 @@ INIT_RANGE = 0.08
 def uniform_param(rng: np.random.Generator, shape) -> Tensor:
     """Fresh trainable tensor drawn from U(-INIT_RANGE, +INIT_RANGE)."""
     return Tensor(rng.uniform(-INIT_RANGE, INIT_RANGE, size=shape), requires_grad=True)
-
-
-class Dense:
-    """y = W x + b, or W x without a bias."""
-
-    def __init__(self, weight: Tensor, bias: Tensor | None = None):
-        self.weight, self.bias = weight, bias
-
-    def __call__(self, x: Tensor) -> Tensor:
-        """Applies to one vector or to every row of [..., in_dim]."""
-        return linear(x, self.weight, self.bias)
-
-
-class EmbeddingTable:
-    """Token id to dense vector lookup over a [vocab, dim] table."""
-
-    def __init__(self, table: Tensor):
-        self.table = table
-
-    def __call__(self, token_id) -> Tensor:
-        return embedding_lookup(self.table, token_id)
 
 
 class LSTMState(NamedTuple):
@@ -96,10 +74,11 @@ class TinyConvEncoder:
         """An encoder holding ``tensors``, one per entry of ``shapes`` in its order."""
         return cls.__new__(cls)._hold(*tensors)
 
-    def _hold(self, conv1_kernels, conv1_bias, conv2_kernels, conv2_bias, *fc) -> "TinyConvEncoder":
+    def _hold(self, conv1_kernels, conv1_bias, conv2_kernels, conv2_bias, fc_weight,
+              fc_bias) -> "TinyConvEncoder":
         self.conv1_kernels, self.conv1_bias = conv1_kernels, conv1_bias
         self.conv2_kernels, self.conv2_bias = conv2_kernels, conv2_bias
-        self.fc = Dense(*fc)
+        self.fc_weight, self.fc_bias = fc_weight, fc_bias
         return self
 
     def __call__(self, images: Tensor) -> Tensor:
@@ -110,4 +89,4 @@ class TinyConvEncoder:
         y = reshape(images, (-1,) + self.IMAGE_SHAPE)
         y = max_pool2(relu(conv2d(y, self.conv1_kernels, self.conv1_bias)))
         y = max_pool2(relu(conv2d(y, self.conv2_kernels, self.conv2_bias)))
-        return self.fc(reshape(y, shape[:-3] + (-1,)))
+        return linear(reshape(y, shape[:-3] + (-1,)), self.fc_weight, self.fc_bias)

@@ -22,9 +22,9 @@ import numpy as np
 
 from .dataset import END_ID, PAD_ID, START_ID, write_atomic
 from .errors import ConfigError, ContractError, DataError, ShapeError
-from .layers import Dense, EmbeddingTable, LSTMCell, TinyConvEncoder, uniform_param
-from .tensor import (Tensor, add, concat, dropout, linear_cross_entropy, lstm_cell, relu,
-                     reshape, scale)
+from .layers import LSTMCell, TinyConvEncoder, uniform_param
+from .tensor import (Tensor, add, concat, dropout, embedding_lookup, linear, linear_cross_entropy,
+                     lstm_cell, relu, reshape, scale)
 
 CHECKPOINT_MAGIC = b"NAIRCKPT1"
 FORGET_GATE_BIAS = 1.0
@@ -163,27 +163,33 @@ class ForwardOutput:
 
 
 class ReviewerModel:
-    """One of the five architectures, identified by its variant tag."""
+    """One of the five architectures, identified by its variant tag.
+
+    ``params`` is the model's only store of parameters: the heads read it by
+    name, and a layer is present when its weight is in it. ``cells`` and
+    ``encoder`` hold the same tensors.
+    """
 
     def __init__(self, variant: Variant | str, config: ModelConfig, seed: int = 0):
-        self.variant = Variant(variant)
-        self.config = _resolve_config(self.variant, config)
+        variant = Variant(variant)
+        config = _resolve_config(variant, config)
         rng = np.random.default_rng(seed)
-        p = self.params = {name: uniform_param(rng, shape)
-                           for name, shape in _param_shapes(self.variant, self.config).items()}
-        # the dense layers; a variant without one holds None
-        for name in ("shared", "cls_specific", "gen_specific", "classifier", "out_proj",
-                     "gen_adapter"):
-            w = p.get(f"{name}.weight")
-            setattr(self, name, Dense(w, p.get(f"{name}.bias")) if w is not None else None)
-        encoder = [t for name, t in p.items() if name.startswith("encoder.")]
-        self.encoder = TinyConvEncoder.holding(*encoder) if encoder else None
-        self.embedding = EmbeddingTable(p["embedding.table"]) if "embedding.table" in p else None
-        self.cells = [LSTMCell(p[f"lstm{k}.w_input"], p[f"lstm{k}.w_hidden"], p[f"lstm{k}.bias"])
-                      for k in range(self.config.lstm_layers) if f"lstm{k}.bias" in p]
+        self._hold(variant, config, {name: uniform_param(rng, shape)
+                                     for name, shape in _param_shapes(variant, config).items()})
         for cell in self.cells:
             # biasing the forget gate open eases gradient flow through long unrolls
             cell.bias.data[cell.hidden_dim:2 * cell.hidden_dim] = FORGET_GATE_BIAS
+
+    def _hold(self, variant: Variant, config: ModelConfig,
+              params: dict[str, Tensor]) -> "ReviewerModel":
+        """The model of ``params``, one tensor per layout entry in its order."""
+        self.variant, self.config, self.params = variant, config, params
+        encoder = [t for name, t in params.items() if name.startswith("encoder.")]
+        self.encoder = TinyConvEncoder.holding(*encoder) if encoder else None
+        self.cells = [LSTMCell(params[f"lstm{k}.w_input"], params[f"lstm{k}.w_hidden"],
+                               params[f"lstm{k}.bias"])
+                      for k in range(config.lstm_layers) if f"lstm{k}.bias" in params]
+        return self
 
     # -- forward ------------------------------------------------------------
 
@@ -204,13 +210,14 @@ class ReviewerModel:
             raise ShapeError(
                 f"representation input of shape {v.data.shape} does not match feature width "
                 f"{self.config.feature_dim}")
-        if self.shared is None:
+        p = self.params
+        if "shared.weight" not in p:
             return v, v
-        s = relu(self.shared(v))
-        if self.cls_specific is None:
+        s = relu(linear(v, p["shared.weight"]))
+        if "cls_specific.weight" not in p:
             return s, s
-        return (concat([relu(self.cls_specific(v)), s]),
-                concat([relu(self.gen_specific(v)), s]))
+        return (concat([relu(linear(v, p["cls_specific.weight"])), s]),
+                concat([relu(linear(v, p["gen_specific.weight"])), s]))
 
     def example_representation(self, inputs: np.ndarray) -> tuple[Tensor, Tensor]:
         """Task representations of one example, each one vector."""
@@ -243,7 +250,10 @@ class ReviewerModel:
     def _image_input(self, rep_gen: Tensor) -> Tensor:
         """The decoder's input at the image step: ``rep_gen`` through the
         adapter when the widths differ."""
-        return self.gen_adapter(rep_gen) if self.gen_adapter is not None else rep_gen
+        p = self.params
+        if "gen_adapter.weight" not in p:
+            return rep_gen
+        return linear(rep_gen, p["gen_adapter.weight"], p["gen_adapter.bias"])
 
     def _language(self, rep_gen: Tensor, captions: Sequence[Sequence[int]], keep: float,
                   rng: np.random.Generator | None) -> Tensor:
@@ -268,8 +278,9 @@ class ReviewerModel:
             targets[b, 1:len(caption) + 2] = caption + [END_ID]
         scored = (np.arange(width) >= 1) & (np.arange(width) < steps[:, None])
 
-        h = concat([reshape(self._image_input(rep_gen), (n, 1, -1)), self.embedding(tokens)],
-                   axis=1)
+        p = self.params
+        h = concat([reshape(self._image_input(rep_gen), (n, 1, -1)),
+                    embedding_lookup(p["embedding.table"], tokens)], axis=1)
         # dropout on the non-recurrent connections only: cell inputs, the
         # handoff between stacked cells and the output; h->h / c->c stay intact
         masks = None
@@ -283,8 +294,7 @@ class ReviewerModel:
             h = cell.sequence(h)
         if masks is not None:
             h = dropout(h, keep, mask=masks[-1])
-        return linear_cross_entropy(h, self.out_proj.weight, self.out_proj.bias, targets,
-                                    scored)
+        return linear_cross_entropy(h, p["out_proj.weight"], p["out_proj.bias"], targets, scored)
 
     def forward(self, inputs: Sequence[np.ndarray], labels: Sequence[int] | None = None,
                 captions: Sequence[Sequence[int]] | None = None, *, alpha: float = 1.0,
@@ -308,8 +318,8 @@ class ReviewerModel:
         rep_cls, rep_gen = self.representation(v)
         aesthetics = language = loss = None
         if self.variant.has_classifier and labels is not None:
-            aesthetics = linear_cross_entropy(rep_cls, self.classifier.weight,
-                                              self.classifier.bias,
+            aesthetics = linear_cross_entropy(rep_cls, self.params["classifier.weight"],
+                                              self.params["classifier.bias"],
                                               np.asarray(labels, dtype=np.int64),
                                               np.ones(n, dtype=bool))
         if self.variant.has_generator and captions is not None:
@@ -363,9 +373,10 @@ class Decoder:
     def __init__(self, model: ReviewerModel, image_input: np.ndarray):
         self._layers = [(c.w_input.data, c.w_hidden.data, c.bias.data) for c in model.cells]
         w_input0 = self._layers[0][0]
-        self._token_gates = model.embedding.table.data @ w_input0.T
-        self._out_w = model.out_proj.weight.data
-        self._out_b = model.out_proj.bias.data
+        p = model.params
+        self._token_gates = p["embedding.table"].data @ w_input0.T
+        self._out_w = p["out_proj.weight"].data
+        self._out_b = p["out_proj.bias"].data
         self.vocab_size = self._out_w.shape[0]
         state = tuple((np.zeros((1, wh.shape[1])), np.zeros((1, wh.shape[1])))
                       for _, wh, _ in self._layers)
@@ -456,14 +467,18 @@ def load_checkpoint(path: str | Path) -> ReviewerModel:
             name = read(name_len).decode("utf-8")
             rank = read(1)[0]
             dims = struct.unpack(f"<{rank}I", read(4 * rank))
+            if name in arrays:
+                raise ValueError(f"parameter {name} is recorded twice")
             arrays[name] = np.frombuffer(read(8 * math.prod(dims)), "<f8").reshape(dims).copy()
             if not np.isfinite(arrays[name]).all():
                 raise ValueError(f"parameter {name} contains non-finite values")
         # checked before a model is built, so no record's dims size an allocation
         config = _resolve_config(variant, _infer_config(arrays))
         _check_fit(arrays, variant, config)
-        model = ReviewerModel(variant, config, seed=0)
-        model.load_param_state(arrays)
+        # the model holds the read arrays, in layout order: nothing is drawn
+        model = ReviewerModel.__new__(ReviewerModel)._hold(variant, config, {
+            name: Tensor(arrays[name], requires_grad=True)
+            for name in _param_shapes(variant, config)})
     except KeyError as exc:
         raise DataError(f"{path}: the checkpoint is missing parameter {exc}") from None
     except (IndexError, ValueError) as exc:

@@ -4,6 +4,7 @@ import pytest
 from reviewnet import oracles
 from reviewnet.model import (CHECKPOINT_MAGIC, ModelConfig, ReviewerModel, Variant,
                              save_checkpoint)
+from reviewnet.tensor import linear
 
 TINY = dict(feature_dim=8, embed_dim=8, hidden_dim=8)
 
@@ -64,9 +65,11 @@ def oracle_decoder(model, features):
     input it is fed one step before START."""
     layers = [(c.w_input.data, c.w_hidden.data, c.bias.data) for c in model.cells]
     rep_gen = model.representation(model.image_representation(features))[1]
-    x_img = (model.gen_adapter(rep_gen) if model.gen_adapter is not None else rep_gen).data
-    dec = oracles.NaiveDecoder(layers, model.embedding.table.data,
-                               model.out_proj.weight.data, model.out_proj.bias.data)
+    p = model.params
+    x_img = (linear(rep_gen, p["gen_adapter.weight"], p["gen_adapter.bias"])
+             if "gen_adapter.weight" in p else rep_gen).data
+    dec = oracles.NaiveDecoder(layers, p["embedding.table"].data, p["out_proj.weight"].data,
+                               p["out_proj.bias"].data)
     return dec, x_img
 
 

@@ -214,11 +214,11 @@ def test_criterion_7_architecture_widths():
     m2 = ReviewerModel("model2", ModelConfig(vocab_size=10, feature_dim=64), seed=0)
     rep_cls, rep_gen = m2.representation(m2.image_representation(v))
     assert rep_cls.data.shape == (512,) and rep_gen.data.shape == (512,)
-    shared = np.maximum(m2.shared.weight.data @ v, 0.0)
+    shared = np.maximum(m2.params["shared.weight"].data @ v, 0.0)
     assert np.array_equal(rep_cls.data[256:], shared)
     assert np.array_equal(rep_gen.data[256:], shared)
     assert np.array_equal(rep_cls.data[:256],
-                          np.maximum(m2.cls_specific.weight.data @ v, 0.0))
+                          np.maximum(m2.params["cls_specific.weight"].data @ v, 0.0))
     _report(7, "shared representation is 512 wide; the task-specific variant stacks "
                "256 specific with 256 shared on both heads")
 

@@ -13,8 +13,8 @@ import pytest
 from conftest import TINY, tiny_model
 from reviewnet.dataset import END_ID, MAX_CAPTION_LEN, START_ID
 from reviewnet.model import ModelConfig, ReviewerModel, Variant
-from reviewnet.tensor import (Tensor, _track, add, backward, dropout, matmul, mul, scale,
-                              stable_sigmoid)
+from reviewnet.tensor import (Tensor, _track, add, backward, dropout, embedding_lookup, linear,
+                              matmul, mul, scale, stable_sigmoid)
 from reviewnet.trainer import Instance, TrainConfig, batch_loss
 
 # ---------------------------------------------------------------------------
@@ -94,16 +94,18 @@ def _run_cells(model, state, x, keep, rng):
 
 
 def _reference_language(model, rep_gen, caption, keep, rng):
-    x_img = model.gen_adapter(rep_gen) if model.gen_adapter is not None else rep_gen
+    p = model.params
+    x_img = (linear(rep_gen, p["gen_adapter.weight"], p["gen_adapter.bias"])
+             if "gen_adapter.weight" in p else rep_gen)
     zeros = Tensor(np.zeros(model.config.hidden_dim))
     state = _run_cells(model, [(zeros, zeros)] * len(model.cells), x_img, keep, rng)
     loss = None
     for inp, target in zip([START_ID] + caption, caption + [END_ID]):
-        state = _run_cells(model, state, model.embedding(inp), keep, rng)
+        state = _run_cells(model, state, embedding_lookup(p["embedding.table"], inp), keep, rng)
         h = state[-1][0]
         if keep < 1.0:
             h = _dropout(h, keep, rng)
-        term = _cross_entropy(model.out_proj(h), target)
+        term = _cross_entropy(linear(h, p["out_proj.weight"], p["out_proj.bias"]), target)
         loss = term if loss is None else add(loss, term)
     return loss
 
@@ -116,7 +118,8 @@ def reference_loss(model, batch, config, rng):
         rep_cls, rep_gen = model.representation(model.image_representation(inst.inputs))
         aes = lang = None
         if model.variant.has_classifier:
-            aes = _cross_entropy(model.classifier(rep_cls), inst.label)
+            aes = _cross_entropy(linear(rep_cls, model.params["classifier.weight"],
+                                        model.params["classifier.bias"]), inst.label)
         if model.variant.has_generator:
             lang = _reference_language(model, rep_gen, list(inst.caption), keep, rng)
         if model.variant.multi_task:

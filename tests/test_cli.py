@@ -103,6 +103,21 @@ def test_generate_to_stdout(tmp_path, capsys):
     assert len(out.splitlines()) == 20
 
 
+def test_generate_refuses_a_payload_without_rows(untrained, tmp_path, capsys):
+    data, ckpt = untrained
+    features, out = tmp_path / "empty.bin", tmp_path / "g.txt"
+    features.write_bytes(FEATURES_MAGIC + np.array([0, 16], "<u4").tobytes())
+    out.write_bytes(b"earlier captions\n")
+    capsys.readouterr()
+    for argv in ([], ["--out", out]):
+        assert run("generate", "--ckpt", ckpt, "--features", features,
+                   "--vocab", data / "vocab.txt", *argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"data error: {features} holds no rows to caption\n"
+    assert out.read_bytes() == b"earlier captions\n"
+
+
 def test_vocab_size_mismatch_exits_3(tmp_path, capsys):
     data, ckpt, _ = build_pipeline(tmp_path)
     (data / "vocab.txt").write_text("\n".join(RESERVED_TOKENS) + "\n")
@@ -595,6 +610,14 @@ def _resave(arrays):
     return corrupt
 
 
+def _append_record(name, values):
+    """Appends a second record of parameter ``name``, holding ``values``."""
+    encoded = name.encode("utf-8")
+    record = (struct.pack(f"<I{len(encoded)}sB{values.ndim}I", len(encoded), encoded, values.ndim,
+                          *values.shape) + values.astype("<f8").tobytes())
+    return _rewrite(lambda raw: raw + record)
+
+
 def _images_with_huge_count(path):
     save_dataset(synth_dataset(3, 12, modality="images"), path.parent)
     _rewrite(lambda raw: raw[:6] + b"\xff" * 4 + raw[10:])(path)
@@ -636,6 +659,8 @@ READER_FAULTS = {  # fault: (corrupted file, corruption, what the message adds t
                                          _resave({"lstm0.w_hidden": np.zeros(16)}), ": "),
     "checkpoint-two-token-vocabulary": ("m1.ckpt",
                                         _resave({"embedding.table": np.zeros((2, 16))}), ": "),
+    "checkpoint-repeated-record": ("m1.ckpt", _append_record("classifier.bias", np.ones(2)),
+                                   ": parameter classifier.bias is recorded twice"),
     # no payload, but dims whose layout needs 2^42 hidden weights (32 TiB)
     "checkpoint-hidden-dims-without-payload": (
         "m1.ckpt", _resave({"lstm0.w_hidden": np.zeros((0, 1 << 20))}), ": the widths make"),

@@ -20,8 +20,8 @@ from reviewnet.trainer import Instance, TrainConfig, sgd_step
 
 def test_predict_class_reads_softmax(rng):
     model = tiny_model("iac", seed=1)
-    model.classifier.weight.data[...] = 0.0
-    model.classifier.bias.data[...] = [0.3, 0.9]
+    model.params["classifier.weight"].data[...] = 0.0
+    model.params["classifier.bias"].data[...] = [0.3, 0.9]
     label, prob = predict_class(model, rng.normal(size=8))
     assert label is Label.HIGH
     assert prob == pytest.approx(np.exp(0.9) / (np.exp(0.3) + np.exp(0.9)), abs=1e-12)
@@ -29,8 +29,8 @@ def test_predict_class_reads_softmax(rng):
 
 def test_predict_class_tie_resolves_to_low(rng):
     model = tiny_model("iac", seed=1)
-    model.classifier.weight.data[...] = 0.0
-    model.classifier.bias.data[...] = 0.0
+    model.params["classifier.weight"].data[...] = 0.0
+    model.params["classifier.bias"].data[...] = 0.0
     label, prob = predict_class(model, rng.normal(size=8))
     assert label is Label.LOW and prob == pytest.approx(0.5)
 
@@ -143,9 +143,9 @@ class _ReferenceDecoder:
     def __init__(self, model, image_input):
         self._layers = [(c.w_input.data, c.w_hidden.data, c.bias.data, c.hidden_dim)
                         for c in model.cells]
-        self._embedding = model.embedding.table.data
-        self._out_w = model.out_proj.weight.data
-        self._out_b = model.out_proj.bias.data
+        self._embedding = model.params["embedding.table"].data
+        self._out_w = model.params["out_proj.weight"].data
+        self._out_b = model.params["out_proj.bias"].data
         self.vocab_size = self._out_w.shape[0]
         state = tuple((np.zeros(hd), np.zeros(hd)) for *_, hd in self._layers)
         state = self._step(state, image_input)
@@ -214,7 +214,7 @@ def _tie_heavy(model, out_proj):
     to 0.1, so that many output rows repeat and their tokens tie exactly.
     ``rounded-bias``: ``zero-weight`` with the biases of ``rounded``, so that
     whole groups of hypotheses tie, and so do their best continuations."""
-    weight, bias = model.out_proj.weight.data, model.out_proj.bias.data
+    weight, bias = model.params["out_proj.weight"].data, model.params["out_proj.bias"].data
     if out_proj in ("zeroed", "zero-weight", "rounded-bias"):
         weight[...] = 0.0
     if out_proj == "zeroed":
@@ -289,22 +289,22 @@ def _end_biased(seed, vocab_size):
     cell.bias.data[...] = 0.0
     cell.bias.data[:hd] = cell.bias.data[3 * hd:] = 30.0  # input and output gates open
     cell.bias.data[hd:2 * hd] = -30.0  # forget gate shut
-    table = model.embedding.table.data
+    table = model.params["embedding.table"].data
     table[:, 0] = 3.0
     table[START_ID, 0] = -3.0
-    model.out_proj.weight.data[...] *= 0.3
-    model.out_proj.weight.data[END_ID] = 0.0
-    model.out_proj.weight.data[END_ID, 0] = 12.0
-    model.out_proj.weight.data[START_ID] = 0.0
-    model.out_proj.bias.data[START_ID] = -1e3
+    model.params["out_proj.weight"].data[...] *= 0.3
+    model.params["out_proj.weight"].data[END_ID] = 0.0
+    model.params["out_proj.weight"].data[END_ID, 0] = 12.0
+    model.params["out_proj.weight"].data[START_ID] = 0.0
+    model.params["out_proj.bias"].data[START_ID] = -1e3
     return model
 
 
 def _end_never_wins(seed, vocab_size):
     """A generator whose END scores far below every other token."""
     model = toy_generator(seed, vocab_size)
-    model.out_proj.weight.data[END_ID] = 0.0
-    model.out_proj.bias.data[END_ID] = -1e3
+    model.params["out_proj.weight"].data[END_ID] = 0.0
+    model.params["out_proj.bias"].data[END_ID] = -1e3
     return model
 
 

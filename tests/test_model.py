@@ -14,7 +14,8 @@ from reviewnet.inference import beam_search, predict_class, score_caption
 from reviewnet.model import (CHECKPOINT_MAGIC, MAX_LSTM_LAYERS, MAX_PARAMETERS, ModelConfig,
                              ReviewerModel, Variant, _param_shapes, _resolve_config,
                              load_checkpoint, save_checkpoint)
-from reviewnet.tensor import Tensor, backward, topo_order
+from reviewnet.tensor import Tensor, backward, linear, topo_order
+from reviewnet.trainer import Instance, TrainConfig, sgd_step
 
 
 # ---------------------------------------------------------------------------
@@ -23,7 +24,7 @@ from reviewnet.tensor import Tensor, backward, topo_order
 
 def test_identity_shared_layer_passes_nonnegative_features_through(rng):
     model = tiny_model("model1")
-    model.shared.weight.data[...] = np.eye(8)
+    model.params["shared.weight"].data[...] = np.eye(8)
     v = np.abs(rng.normal(size=8))
     rep_cls, rep_gen = model.representation(model.image_representation(v))
     assert np.max(np.abs(rep_cls.data - v)) <= 1e-12
@@ -46,9 +47,9 @@ def test_model2_representation_is_specific_then_shared_concat(rng):
     v = rng.normal(size=8)
     vt = model.image_representation(v)
     rep_cls, rep_gen = model.representation(vt)
-    shared = np.maximum(model.shared.weight.data @ v, 0.0)
-    cls_specific = np.maximum(model.cls_specific.weight.data @ v, 0.0)
-    gen_specific = np.maximum(model.gen_specific.weight.data @ v, 0.0)
+    shared = np.maximum(model.params["shared.weight"].data @ v, 0.0)
+    cls_specific = np.maximum(model.params["cls_specific.weight"].data @ v, 0.0)
+    gen_specific = np.maximum(model.params["gen_specific.weight"].data @ v, 0.0)
     assert np.max(np.abs(rep_cls.data - np.concatenate([cls_specific, shared]))) <= 1e-12
     assert np.max(np.abs(rep_gen.data - np.concatenate([gen_specific, shared]))) <= 1e-12
 
@@ -57,7 +58,8 @@ def test_representation_matches_relu_matmul_oracle(rng):
     model = tiny_model("model1")
     v = rng.normal(size=8)
     rep = model.representation(model.image_representation(v))[0].data
-    want = np.maximum(oracles.naive_matmul(model.shared.weight.data, v.reshape(-1, 1))[:, 0], 0.0)
+    shared = model.params["shared.weight"].data
+    want = np.maximum(oracles.naive_matmul(shared, v.reshape(-1, 1))[:, 0], 0.0)
     assert np.max(np.abs(rep - want)) <= 1e-12
 
 
@@ -77,15 +79,16 @@ def test_representation_width_mismatch(rng):
 
 def test_model2_zeroed_specific_layers_decide_from_shared_only(rng):
     model = tiny_model("model2", seed=5)
-    model.cls_specific.weight.data[...] = 0.0
-    model.gen_specific.weight.data[...] = 0.0
+    model.params["cls_specific.weight"].data[...] = 0.0
+    model.params["gen_specific.weight"].data[...] = 0.0
     v = rng.normal(size=8)
     rep_cls, rep_gen = model.representation(model.image_representation(v))
     assert np.all(rep_cls.data[:4] == 0.0) and np.all(rep_gen.data[:4] == 0.0)
-    shared = np.maximum(model.shared.weight.data @ v, 0.0)
+    shared = np.maximum(model.params["shared.weight"].data @ v, 0.0)
     manual = np.concatenate([np.zeros(4), shared])
-    logits_full = model.classifier(rep_cls).data
-    logits_manual = model.classifier(Tensor(manual)).data
+    weight, bias = model.params["classifier.weight"], model.params["classifier.bias"]
+    logits_full = linear(rep_cls, weight, bias).data
+    logits_manual = linear(Tensor(manual), weight, bias).data
     assert np.array_equal(logits_full, logits_manual)
 
 
@@ -95,23 +98,23 @@ def test_model2_zeroed_specific_layers_decide_from_shared_only(rng):
 
 def test_aesthetics_loss_uniform_classifier(rng):
     model = tiny_model("iac")
-    model.classifier.weight.data[...] = 0.0
-    model.classifier.bias.data[...] = 0.0
+    model.params["classifier.weight"].data[...] = 0.0
+    model.params["classifier.bias"].data[...] = 0.0
     out = model.forward([rng.normal(size=8)], [1])
     assert out.aesthetics.item() == pytest.approx(np.log(2.0), abs=1e-12)
 
 
 def test_aesthetics_loss_saturates_towards_zero(rng):
     model = tiny_model("iac")
-    model.classifier.weight.data[...] = 0.0
-    model.classifier.bias.data[...] = [0.0, 50.0]
+    model.params["classifier.weight"].data[...] = 0.0
+    model.params["classifier.bias"].data[...] = [0.0, 50.0]
     assert model.forward([rng.normal(size=8)], [1]).aesthetics.item() < 1e-3
 
 
 def test_language_loss_uniform_projection_is_length_times_log_vocab(rng):
     model = tiny_model("v2l", vocab_size=12)
-    model.out_proj.weight.data[...] = 0.0
-    model.out_proj.bias.data[...] = 0.0
+    model.params["out_proj.weight"].data[...] = 0.0
+    model.params["out_proj.bias"].data[...] = 0.0
     caption = [4, 5, 6, 7]
     loss = model.forward([rng.normal(size=8)], captions=[caption]).language.item()
     assert loss == pytest.approx((len(caption) + 1) * np.log(12.0), abs=1e-9)
@@ -323,6 +326,57 @@ def _no_draw(rng, shape):
     raise AssertionError(f"a parameter of shape {shape} was drawn")
 
 
+def _drawn_or_loaded(model, source, path):
+    """``model`` itself, or the model its checkpoint at ``path`` loads."""
+    if source == "drawn":
+        return model
+    save_checkpoint(model, path)
+    return load_checkpoint(path)
+
+
+def _held_tensors(model):
+    """Every tensor the cells and the encoder hold, in the order they hold them."""
+    holders = [*model.cells, *([model.encoder] if model.encoder is not None else [])]
+    return [t for holder in holders for t in vars(holder).values() if isinstance(t, Tensor)]
+
+
+@pytest.mark.parametrize("source", ["drawn", "loaded"])
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("variant", [v.value for v in Variant])
+def test_the_cells_and_the_encoder_hold_the_table_entries(tmp_path, variant, layers, source):
+    model = _drawn_or_loaded(tiny_model(variant, seed=3, lstm_layers=layers), source,
+                             tmp_path / "m.ckpt")
+    # outside the table, only the cells and the encoder hold parameters
+    assert set(vars(model)) == {"variant", "config", "params", "cells", "encoder"}
+    assert len(model.cells) == (layers if model.variant.has_generator else 0)
+    assert (model.encoder is not None) == (model.variant.modality == "images")
+    p = model.params
+    table = [p[f"lstm{k}.{part}"] for k in range(len(model.cells))
+             for part in ("w_input", "w_hidden", "bias")]
+    table += [t for name, t in p.items() if name.startswith("encoder.")]
+    held = _held_tensors(model)
+    assert len(held) == len(table) and all(a is b for a, b in zip(held, table))
+
+
+@pytest.mark.parametrize("source", ["drawn", "loaded"])
+def test_loading_the_initial_state_restores_the_cells_and_the_encoder(tmp_path, rng, source):
+    model = _drawn_or_loaded(tiny_model("mt-baseline", seed=2, lstm_layers=2), source,
+                             tmp_path / "m.ckpt")
+    image, rows = Tensor(rng.random((3, 32, 32))), Tensor(rng.normal(size=(2, 3, 8)))
+
+    def outputs():
+        return [model.encoder(image).data, *(cell.sequence(rows).data for cell in model.cells)]
+
+    init, before = model.param_state(), outputs()
+    batch = [Instance("a", rng.random((3, 32, 32)), 1, (4, 5)),
+             Instance("b", rng.random((3, 32, 32)), 0, (6,))]
+    sgd_step(model, batch, TrainConfig(learning_rate=0.5, dropout_keep=1.0))
+    assert not any(np.array_equal(a, b) for a, b in zip(outputs(), before))
+    model.load_param_state(init)
+    after = outputs()
+    assert len(after) == 3 and all(np.array_equal(a, b) for a, b in zip(after, before))
+
+
 def test_the_parameter_bound_is_checked_before_any_draw(monkeypatch):
     n = sum(p.data.size for p in tiny_model("model2").params.values())
     monkeypatch.setattr("reviewnet.model.MAX_PARAMETERS", n)
@@ -448,6 +502,21 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path, case, rng):
     assert path.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize("case", ["iac", "mt-baseline-adapter", "model2-two-layer"])
+def test_a_load_draws_nothing_and_holds_the_read_arrays(tmp_path, monkeypatch, case):
+    variant, _, overrides = CHECKPOINT_CASES[case]
+    model = tiny_model(variant, seed=7, **overrides)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    monkeypatch.setattr("reviewnet.model.uniform_param", _no_draw)
+    loaded = load_checkpoint(path)
+    # in layout order, not the file's lexicographic one
+    assert list(loaded.params) == list(model.params) != sorted(model.params)
+    for name, p in loaded.params.items():
+        assert p.requires_grad and p.data.flags.owndata and p.data.flags.writeable
+        assert np.array_equal(p.data, model.params[name].data)
+
+
 def test_checkpoint_magic_is_pinned(tmp_path):
     model = tiny_model("iac")
     path = tmp_path / "m.ckpt"
@@ -503,7 +572,7 @@ def test_checkpoint_rejects_corruption(tmp_path):
     truncated.write_bytes(path.read_bytes()[:-9])
     with pytest.raises(DataError):
         load_checkpoint(truncated)
-    model.classifier.bias.data[1] = np.nan
+    model.params["classifier.bias"].data[1] = np.nan
     non_finite = tmp_path / "nan.ckpt"
     save_checkpoint(model, non_finite)
     with pytest.raises(DataError, match="classifier.bias"):
