@@ -24,8 +24,8 @@ from .model import ModelConfig, ReviewerModel, Variant, load_checkpoint, save_ch
 from .tensor import (Tensor, add, backward, concat, conv2d, dropout, embedding_lookup, linear,
                      linear_cross_entropy, lstm_sequence, matmul, max_pool2, mul, relu,
                      reshape, scale, sum_all)
-from .trainer import (TUNE_EPOCHS, Instance, TrainConfig, batch_loss, instance_loss, train,
-                      tune_alpha_beta, write_metrics_csv)
+from .trainer import (TUNE_EPOCHS, Instance, TrainConfig, batch_loss, train, tune_alpha_beta,
+                      write_metrics_csv)
 
 GRAD_CHECK_SAMPLE = 25
 
@@ -190,7 +190,7 @@ def variant_cases(rng: np.random.Generator, model_seed: int):
         batch = [Instance(variant.value, x, label, caption)
                  for x, label, caption in zip(inputs, (1, 0, 1), captions)]
         cases.append((variant.value, model,
-                      lambda m=model, i=batch[0]: instance_loss(m, i, TrainConfig(), None)))
+                      lambda m=model, b=batch[:1]: batch_loss(m, b, TrainConfig(), None)))
         cases.append((f"{variant.value} batch", model,
                       lambda m=model, b=batch: batch_loss(m, b, TrainConfig(), None)))
     return cases

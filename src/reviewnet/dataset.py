@@ -45,7 +45,7 @@ SPLITS = ("train", "valid", "test")
 _PUNCT = ".,!?;:'\"()"
 
 
-def write_atomic(path: str | Path, data: bytes) -> None:
+def write_atomic(path: str | Path, data: bytes | bytearray) -> None:
     """Replace the file at ``path`` with ``data`` in one step.
 
     The bytes go to a temporary file in the same directory, which is synced
@@ -317,6 +317,8 @@ def read_payload(path: str | Path) -> tuple[str, np.ndarray]:
     shape = struct.unpack_from(f"<{rank}I", raw, len(magic))
     if modality == "images" and shape[1:] != IMAGE_SHAPE:
         raise DataError(f"{path}: unexpected image dims {shape[1:]}")
+    if modality == "features" and shape[1] == 0:
+        raise DataError(f"{path}: feature rows have zero width")
     expected = 8 * math.prod(shape)  # Python ints: 0xFFFFFFFF dims cannot wrap
     if len(raw) - offset != expected:
         raise DataError(f"{path}: expected {expected} payload bytes, found {len(raw) - offset}")
@@ -343,7 +345,9 @@ def load_dataset(data_dir: str | Path) -> ReviewDataset:
 
     raw = manifest.read_bytes()
     try:
-        lines = raw.decode("utf-8").splitlines()
+        # JSON Lines ends a record only at "\n", where str.splitlines() also
+        # breaks at U+2028, U+2029, U+0085 and others that a JSON string may hold
+        lines = raw.decode("utf-8").split("\n")
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise DataError(f"{manifest}:{line}: {exc}") from None

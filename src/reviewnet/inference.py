@@ -8,6 +8,7 @@ across images.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -21,13 +22,13 @@ from .tensor import _int_indices, linear
 class Hypothesis:
     """A caption: emitted token ids and their exact summed log probability.
 
-    ``finished`` is always True, since a hypothesis enters a pool only when
-    it ends with END or reaches the length cap; it stays because perfbench's
+    ``finished`` is a class constant, True, since a hypothesis enters a pool
+    only when it ends with END or reaches the length cap; perfbench's
     ``_pool_failure`` and ``scripts/fingerprint.py`` read it."""
 
     tokens: tuple[int, ...]
     log_prob: float
-    finished: bool
+    finished: ClassVar[bool] = True
 
 
 def predict_class(model: ReviewerModel, inputs: np.ndarray) -> tuple[Label, float]:
@@ -119,7 +120,7 @@ def beam_search(model: ReviewerModel, inputs: np.ndarray, beam_size: int = BEAM_
         # END retires a continuation, and the length cap retires all of them
         done = (toks == END_ID) | (length == max_len)
         if done.any():
-            pool.extend(Hypothesis(tuple(row), score, True)
+            pool.extend(Hypothesis(tuple(row), score)
                         for row, score in zip(tokens[done].tolist(), log_prob[done].tolist()))
             live = ~done
             if not live.any():

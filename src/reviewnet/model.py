@@ -4,14 +4,14 @@ A model is a named collection of trainable tensors plus the forward rules
 turning an image representation into task losses. The image representation
 enters the caption decoder exactly once, as the input at the step before the
 START token, and that step contributes no loss term.
-``ReviewerModel.forward`` computes them for a batch at once; one example is a
-batch of one.
+``ReviewerModel.forward`` computes them for a batch at once and returns the
+training objective; one example is a batch of one.
 """
 
 from __future__ import annotations
 
-import io
 import math
+import os
 import struct
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -148,20 +148,6 @@ def _check_fit(arrays: dict[str, np.ndarray], variant: Variant, config: ModelCon
         raise ContractError(f"arrays {sorted(misfits)} do not fit the {variant.value} layout")
 
 
-@dataclass
-class ForwardOutput:
-    """Forward results of a batch; absent parts are None.
-
-    ``aesthetics`` and ``language`` are summed over the batch. ``loss`` is the
-    training objective: the batch mean of ``alpha * aesthetics + beta *
-    language`` for multi-task variants, of the one task loss otherwise.
-    """
-
-    aesthetics: Tensor | None
-    language: Tensor | None
-    loss: Tensor | None
-
-
 class ReviewerModel:
     """One of the five architectures, identified by its variant tag.
 
@@ -296,18 +282,19 @@ class ReviewerModel:
             h = dropout(h, keep, mask=masks[-1])
         return linear_cross_entropy(h, p["out_proj.weight"], p["out_proj.bias"], targets, scored)
 
-    def forward(self, inputs: Sequence[np.ndarray], labels: Sequence[int] | None = None,
-                captions: Sequence[Sequence[int]] | None = None, *, alpha: float = 1.0,
-                beta: float = 1.0, dropout_keep: float = 1.0,
-                rng: np.random.Generator | None = None) -> ForwardOutput:
-        """Forward pass over a batch of examples at once.
+    def forward(self, inputs: Sequence[np.ndarray], labels: Sequence[int],
+                captions: Sequence[Sequence[int]], *, alpha: float = 1.0, beta: float = 1.0,
+                dropout_keep: float = 1.0, rng: np.random.Generator | None = None) -> Tensor:
+        """The training objective of a batch of examples: the batch mean of
+        ``alpha * aesthetics + beta * language`` for a multi-task variant, of
+        its one task loss otherwise, where each task loss is summed over the
+        batch.
 
         The representation layers run row-wise, each stacked cell runs the
         padded captions as one ``lstm_sequence``, and each head's output layer
-        and loss are one ``linear_cross_entropy`` node.
-        Labels and captions are ignored by a variant without the matching
-        head, and a head runs only when its targets are given. Dropout below
-        ``dropout_keep`` = 1 draws its masks from ``rng``.
+        and loss are one ``linear_cross_entropy`` node. A variant ignores the
+        targets of a head it does not have. Dropout below ``dropout_keep`` = 1
+        draws its masks from ``rng``.
         """
         if not len(inputs):
             raise ContractError("a batch needs at least one example")
@@ -316,20 +303,17 @@ class ReviewerModel:
         n = len(inputs)
         v = self.image_representation(np.stack(inputs))
         rep_cls, rep_gen = self.representation(v)
-        aesthetics = language = loss = None
-        if self.variant.has_classifier and labels is not None:
+        if self.variant.has_classifier:
             aesthetics = linear_cross_entropy(rep_cls, self.params["classifier.weight"],
                                               self.params["classifier.bias"],
                                               np.asarray(labels, dtype=np.int64),
                                               np.ones(n, dtype=bool))
-        if self.variant.has_generator and captions is not None:
-            language = self._language(rep_gen, captions, dropout_keep, rng)
-        if self.variant.multi_task:
-            if aesthetics is not None and language is not None:
-                loss = add(scale(aesthetics, alpha / n), scale(language, beta / n))
-        elif aesthetics is not None or language is not None:
-            loss = scale(aesthetics if aesthetics is not None else language, 1.0 / n)
-        return ForwardOutput(aesthetics, language, loss)
+            if not self.variant.has_generator:
+                return scale(aesthetics, 1.0 / n)
+        language = self._language(rep_gen, captions, dropout_keep, rng)
+        if not self.variant.has_classifier:
+            return scale(language, 1.0 / n)
+        return add(scale(aesthetics, alpha / n), scale(language, beta / n))
 
     # -- parameters ----------------------------------------------------------
 
@@ -436,54 +420,58 @@ def save_checkpoint(model: ReviewerModel, path: str | Path) -> None:
         for dim in data.shape:
             buf += struct.pack("<I", dim)
         buf += np.ascontiguousarray(data, dtype="<f8").tobytes()
-    write_atomic(path, bytes(buf))
+    write_atomic(path, buf)
 
 
 def load_checkpoint(path: str | Path) -> ReviewerModel:
     path = Path(path)
     if not path.exists():
         raise DataError(f"checkpoint not found: {path}")
-    raw = path.read_bytes()
-    stream = io.BytesIO(raw)
+    with path.open("rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
 
-    def read(size: int) -> bytes:
-        # checked before reading: a corrupt dims product may not fit a read size
-        if size > len(raw) - stream.tell():
-            raise ValueError("the checkpoint is truncated")
-        return stream.read(size)
+        def fits(count: int) -> int:
+            # checked before reading: a corrupt dims product may not fit a read size
+            if count > size - fh.tell():
+                raise ValueError("the checkpoint is truncated")
+            return count
 
-    # every parse failure below, from a record, a name's bytes or the layout
-    # they describe, is a data error naming the file
-    try:
-        if stream.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
-            raise ValueError(f"does not start with the {CHECKPOINT_MAGIC!r} magic")
-        tag = read(1)[0]
-        if tag >= len(Variant):
-            raise ValueError(f"unknown variant tag {tag}")
-        variant = tuple(Variant)[tag]
-        arrays: dict[str, np.ndarray] = {}
-        while stream.tell() < len(raw):
-            (name_len,) = struct.unpack("<I", read(4))
-            name = read(name_len).decode("utf-8")
-            rank = read(1)[0]
-            dims = struct.unpack(f"<{rank}I", read(4 * rank))
-            if name in arrays:
-                raise ValueError(f"parameter {name} is recorded twice")
-            arrays[name] = np.frombuffer(read(8 * math.prod(dims)), "<f8").reshape(dims).copy()
-            if not np.isfinite(arrays[name]).all():
-                raise ValueError(f"parameter {name} contains non-finite values")
-        # checked before a model is built, so no record's dims size an allocation
-        config = _resolve_config(variant, _infer_config(arrays))
-        _check_fit(arrays, variant, config)
-        # the model holds the read arrays, in layout order: nothing is drawn
-        model = ReviewerModel.__new__(ReviewerModel)._hold(variant, config, {
-            name: Tensor(arrays[name], requires_grad=True)
-            for name in _param_shapes(variant, config)})
-    except KeyError as exc:
-        raise DataError(f"{path}: the checkpoint is missing parameter {exc}") from None
-    except (IndexError, ValueError) as exc:
-        raise DataError(f"{path}: {exc}") from None
-    return model
+        # every parse failure below, from a record, a name's bytes or the layout
+        # they describe, is a data error naming the file
+        try:
+            if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+                raise ValueError(f"does not start with the {CHECKPOINT_MAGIC!r} magic")
+            tag = fh.read(fits(1))[0]
+            if tag >= len(Variant):
+                raise ValueError(f"unknown variant tag {tag}")
+            variant = tuple(Variant)[tag]
+            arrays: dict[str, np.ndarray] = {}
+            while fh.tell() < size:
+                (name_len,) = struct.unpack("<I", fh.read(fits(4)))
+                name = fh.read(fits(name_len)).decode("utf-8")
+                rank = fh.read(fits(1))[0]
+                dims = struct.unpack(f"<{rank}I", fh.read(fits(4 * rank)))
+                if name in arrays:
+                    raise ValueError(f"parameter {name} is recorded twice")
+                # read straight into the array the model holds, once it fits the file
+                count = fits(8 * math.prod(dims))
+                array = np.empty(dims, "<f8")
+                if fh.readinto(array) != count:
+                    raise ValueError("the checkpoint is truncated")
+                if not np.isfinite(array).all():
+                    raise ValueError(f"parameter {name} contains non-finite values")
+                arrays[name] = array
+            # checked before a model is built, so no record's dims size an allocation
+            config = _resolve_config(variant, _infer_config(arrays))
+            _check_fit(arrays, variant, config)
+            # the model holds the read arrays, in layout order: nothing is drawn
+            return ReviewerModel.__new__(ReviewerModel)._hold(variant, config, {
+                name: Tensor(arrays[name], requires_grad=True)
+                for name in _param_shapes(variant, config)})
+        except KeyError as exc:
+            raise DataError(f"{path}: the checkpoint is missing parameter {exc}") from None
+        except (IndexError, ValueError) as exc:
+            raise DataError(f"{path}: {exc}") from None
 
 
 def _infer_config(arrays: dict[str, np.ndarray]) -> ModelConfig:

@@ -453,19 +453,12 @@ def lstm_sequence(x: Tensor, h0: Tensor | None, c0: Tensor | None, w_input: Tens
     return h_out, c_out
 
 
-def dropout(x: Tensor, keep: float, *, mask: np.ndarray | None = None) -> Tensor:
+def dropout(x: Tensor, keep: float, *, mask: np.ndarray) -> Tensor:
     """Inverted dropout through a boolean keep-``mask`` of ``x``'s shape:
-    surviving entries are rescaled by 1/keep.
-
-    ``keep == 1`` returns ``x`` unchanged and needs no mask.
-    """
+    surviving entries are rescaled by 1/keep."""
     keep = float(keep)
     if not 0.0 < keep <= 1.0:
         raise ConfigError(f"dropout keep probability must be in (0, 1], got {keep}")
-    if keep == 1.0:
-        return x
-    if mask is None:
-        raise ContractError("dropout below keep=1 needs an explicit mask")
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != x.data.shape:
         raise ShapeError(f"dropout mask shape {mask.shape} does not match input {x.data.shape}")

@@ -108,7 +108,7 @@ def batch_loss(model: ReviewerModel, batch: list[Instance], config: TrainConfig,
     keep = config.dropout_keep if rng is not None else 1.0
     return model.forward([inst.inputs for inst in batch], [inst.label for inst in batch],
                          [inst.caption for inst in batch], alpha=config.alpha, beta=config.beta,
-                         dropout_keep=keep, rng=rng).loss
+                         dropout_keep=keep, rng=rng)
 
 
 def instance_loss(model: ReviewerModel, inst: Instance, config: TrainConfig,

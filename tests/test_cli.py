@@ -650,6 +650,8 @@ READER_FAULTS = {  # fault: (corrupted file, corruption, what the message adds t
     "features-oversized-dims": ("data/features.bin",
                                 _rewrite(lambda raw: raw[:6] + b"\xff" * 8 + raw[14:]),
                                 f": expected {8 * 0xFFFFFFFF ** 2} payload bytes"),
+    "features-zero-width-rows": ("data/features.bin", _rewrite(lambda raw: raw[:10] + b"\0" * 4),
+                                 ": feature rows have zero width"),
     "images-oversized-count": ("data/images.bin", _images_with_huge_count, ": expected"),
     "images-renamed-to-features": ("data/features.bin", _images_renamed_to_features,
                                    ": holds images, not features"),

@@ -232,6 +232,24 @@ def test_images_dataset_roundtrip(tmp_path):
         assert np.array_equal(a.inputs, b.inputs)
 
 
+def test_comments_holding_unicode_line_breaks_load_and_round_trip(tmp_path):
+    # JSON may hold U+2028 and U+0085 unescaped; only "\n" ends a JSON Lines record
+    ds = synth_dataset(2, 4)
+    comment = "sharp\u2028focus\x85nice light"
+    ds.examples[1].comments[0] = comment
+    save_dataset(ds, tmp_path)
+    manifest = tmp_path / "manifest.jsonl"
+    lines = manifest.read_text(encoding="utf-8").split("\n")[:-1]
+    manifest.write_text("".join(json.dumps(json.loads(line), ensure_ascii=False) + "\n"
+                                for line in lines), encoding="utf-8")
+    assert "\u2028" in manifest.read_text(encoding="utf-8")
+    loaded = load_dataset(tmp_path)
+    assert loaded.examples[1].comments[0] == comment
+    save_dataset(loaded, tmp_path / "again")
+    again = load_dataset(tmp_path / "again")
+    assert [ex.comments for ex in again.examples] == [ex.comments for ex in ds.examples]
+
+
 @pytest.mark.parametrize("failing_write", ["manifest", "payload", "vocab"])
 def test_dataset_write_failing_midway_keeps_previous_files(tmp_path, monkeypatch, failing_write):
     import os

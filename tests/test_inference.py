@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -7,7 +8,7 @@ from conftest import oracle_decoder, tiny_model, toy_generator
 from reviewnet import oracles
 from reviewnet.dataset import END_ID, START_ID, Label
 from reviewnet.errors import ConfigError, ContractError, ShapeError
-from reviewnet.inference import (beam_search, greedy_decode, predict_class,
+from reviewnet.inference import (Hypothesis, beam_search, greedy_decode, predict_class,
                                  score_caption, strip_end)
 from reviewnet.model import Decoder
 from reviewnet.tensor import lstm_cell
@@ -355,6 +356,11 @@ def test_beam_rejects_bad_sizes(rng):
         beam_search(model, np.zeros(4), max_len=0)
 
 
+def test_a_hypothesis_is_its_tokens_and_log_prob():
+    assert [f.name for f in dataclasses.fields(Hypothesis)] == ["tokens", "log_prob"]
+    assert Hypothesis((4, END_ID), -1.5).finished is True
+
+
 # ---------------------------------------------------------------------------
 # rescoring
 
@@ -378,7 +384,7 @@ def test_rescoring_agrees_with_graph_language_loss():
         caption = strip_end(list(top.tokens))
         if not caption:
             continue
-        loss = model.forward([features], captions=[caption]).language.item()
+        loss = model.forward([features], [0], [caption]).item()
         assert abs(-loss - top.log_prob) <= 1e-10
 
 

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from reviewnet.model import (CHECKPOINT_MAGIC, MAX_LSTM_LAYERS, MAX_PARAMETERS, 
                              ReviewerModel, Variant, _param_shapes, _resolve_config,
                              load_checkpoint, save_checkpoint)
 from reviewnet.tensor import Tensor, backward, linear, topo_order
-from reviewnet.trainer import Instance, TrainConfig, sgd_step
+from reviewnet.trainer import Instance, TrainConfig, batch_loss, sgd_step
 
 
 # ---------------------------------------------------------------------------
@@ -100,15 +101,15 @@ def test_aesthetics_loss_uniform_classifier(rng):
     model = tiny_model("iac")
     model.params["classifier.weight"].data[...] = 0.0
     model.params["classifier.bias"].data[...] = 0.0
-    out = model.forward([rng.normal(size=8)], [1])
-    assert out.aesthetics.item() == pytest.approx(np.log(2.0), abs=1e-12)
+    loss = model.forward([rng.normal(size=8)], [1], [()])
+    assert loss.item() == pytest.approx(np.log(2.0), abs=1e-12)
 
 
 def test_aesthetics_loss_saturates_towards_zero(rng):
     model = tiny_model("iac")
     model.params["classifier.weight"].data[...] = 0.0
     model.params["classifier.bias"].data[...] = [0.0, 50.0]
-    assert model.forward([rng.normal(size=8)], [1]).aesthetics.item() < 1e-3
+    assert model.forward([rng.normal(size=8)], [1], [()]).item() < 1e-3
 
 
 def test_language_loss_uniform_projection_is_length_times_log_vocab(rng):
@@ -116,7 +117,7 @@ def test_language_loss_uniform_projection_is_length_times_log_vocab(rng):
     model.params["out_proj.weight"].data[...] = 0.0
     model.params["out_proj.bias"].data[...] = 0.0
     caption = [4, 5, 6, 7]
-    loss = model.forward([rng.normal(size=8)], captions=[caption]).language.item()
+    loss = model.forward([rng.normal(size=8)], [0], [caption]).item()
     assert loss == pytest.approx((len(caption) + 1) * np.log(12.0), abs=1e-9)
 
 
@@ -135,12 +136,12 @@ def _step_log_probs(model, features, caption):
 def test_language_loss_single_token_decomposition(rng):
     model = tiny_model("v2l", seed=3)
     features = rng.normal(size=8)
-    out = model.forward([features], captions=[[5]])
+    loss = model.forward([features], [0], [[5]])
     step_log_probs = _step_log_probs(model, features, [5])
     assert len(step_log_probs) == 2  # predicts w_1 then END
 
     want = -(step_log_probs[0, 5] + step_log_probs[1, END_ID])
-    assert out.language.item() == pytest.approx(want, abs=1e-12)
+    assert loss.item() == pytest.approx(want, abs=1e-12)
 
 
 def test_language_loss_is_negative_log_of_step_probability_product(rng):
@@ -148,7 +149,7 @@ def test_language_loss_is_negative_log_of_step_probability_product(rng):
     randomize_params(model, rng)
     features = rng.normal(size=8)
     caption = [4, 0, 4]
-    loss = model.forward([features], captions=[caption]).language.item()
+    loss = model.forward([features], [0], [caption]).item()
 
     dec, x_img = oracle_decoder(model, features)
     state = dec.advance(dec.initial_state(), x_img)
@@ -163,19 +164,20 @@ def test_language_loss_is_negative_log_of_step_probability_product(rng):
 def test_language_loss_rejects_empty_caption(rng):
     model = tiny_model("v2l")
     with pytest.raises(ContractError):
-        model.forward([rng.normal(size=8)], captions=[[]])
+        model.forward([rng.normal(size=8)], [0], [[]])
 
 
 def test_step_logit_count_is_caption_length_plus_one(rng):
     model = tiny_model("model1")
     features = rng.normal(size=8)
     caption = [4, 5, 6]
-    out = model.forward([features], [0], [caption])
+    # alpha = 0 leaves the language loss alone
+    loss = model.forward([features], [0], [caption], alpha=0.0)
     step_log_probs = _step_log_probs(model, features, caption)
     assert len(step_log_probs) == 4
     # the loss has exactly one term per step: each caption token, then END
     want = -step_log_probs[np.arange(4), caption + [END_ID]].sum()
-    assert out.language.item() == pytest.approx(want, abs=1e-12)
+    assert loss.item() == pytest.approx(want, abs=1e-12)
 
 
 def test_training_graph_holds_no_token_logit_block(rng):
@@ -184,9 +186,9 @@ def test_training_graph_holds_no_token_logit_block(rng):
     model = tiny_model("model1", vocab_size=50)
     captions = [[4, 5, 6, 7], [8], [9, 10, 11]]
     batch = 3, max(map(len, captions)) + 2, 50
-    out = model.forward([rng.normal(size=8) for _ in captions], [0, 1, 0], captions)
+    loss = model.forward([rng.normal(size=8) for _ in captions], [0, 1, 0], captions)
     params = {id(p) for p in model.params.values()}
-    shapes = [node.data.shape for node in topo_order(out.loss) if id(node) not in params]
+    shapes = [node.data.shape for node in topo_order(loss) if id(node) not in params]
     assert batch not in shapes
     assert (batch[0] * batch[1], batch[2]) not in shapes
     assert (batch[0], 2) not in shapes
@@ -198,10 +200,13 @@ def test_joint_loss_reduces_to_single_tasks(rng):
     caption = [4, 5]
 
     def joint(alpha, beta):
-        return model.forward([features], [1], [caption], alpha=alpha, beta=beta).loss.item()
+        return model.forward([features], [1], [caption], alpha=alpha, beta=beta).item()
 
-    out = model.forward([features], [1], [caption])
-    aes, lang = out.aesthetics.item(), out.language.item()
+    # each head against a value computed without the training graph
+    rep_cls = model.representation(model.image_representation(features))[0].data
+    logits = model.params["classifier.weight"].data @ rep_cls + model.params["classifier.bias"].data
+    aes = oracles.cross_entropy_direct(logits, 1)
+    lang = -_step_log_probs(model, features, caption)[np.arange(3), caption + [END_ID]].sum()
     assert joint(1.0, 0.0) == pytest.approx(aes, abs=1e-12)
     assert joint(0.0, 1.0) == pytest.approx(lang, abs=1e-12)
     assert joint(2.0, 3.0) == pytest.approx(2 * aes + 3 * lang, abs=1e-10)
@@ -210,9 +215,31 @@ def test_joint_loss_reduces_to_single_tasks(rng):
 def test_batch_loss_equals_mean_of_singles(rng):
     model = tiny_model("model1", seed=4)
     instances = [(rng.normal(size=8), int(rng.integers(0, 2)), [4, 5 + i]) for i in range(4)]
-    singles = [model.forward([f], [y], [c]).loss.item() for f, y, c in instances]
-    batch = model.forward(*zip(*instances)).loss.item()
+    singles = [model.forward([f], [y], [c]).item() for f, y, c in instances]
+    batch = model.forward(*zip(*instances)).item()
     assert batch == pytest.approx(float(np.mean(singles)), abs=1e-12)
+
+
+@pytest.mark.parametrize("variant", [v.value for v in Variant])
+def test_forward_returns_the_objective_that_batch_loss_trains(variant):
+    model = tiny_model(variant, seed=8)
+    rng = np.random.default_rng(8)
+    shape = (3, 32, 32) if model.variant.modality == "images" else (8,)
+    batch = [Instance("x", rng.random(shape), label, caption)
+             for label, caption in ((1, (4, 5, 6)), (0, (7,)), (1, (8, 4, 9, 5)))]
+    config = TrainConfig(alpha=0.5, beta=2.0, dropout_keep=0.7)
+
+    def forward(keep):
+        return model.forward([i.inputs for i in batch], [i.label for i in batch],
+                             [i.caption for i in batch], alpha=config.alpha, beta=config.beta,
+                             dropout_keep=keep, rng=np.random.default_rng(3))
+
+    loss = forward(0.7)
+    assert isinstance(loss, Tensor) and loss.data.shape == ()
+    assert loss.data.tobytes() == batch_loss(model, batch, config,
+                                             np.random.default_rng(3)).data.tobytes()
+    # dropout is on wherever there is a decoder to drop from
+    assert (loss.item() != forward(1.0).item()) == model.variant.has_generator
 
 
 def test_scaling_alpha_beta_scales_loss_and_gradients(rng):
@@ -221,7 +248,7 @@ def test_scaling_alpha_beta_scales_loss_and_gradients(rng):
 
     def grads(alpha, beta):
         model.zero_grad()
-        loss = model.forward([features], [1], [caption], alpha=alpha, beta=beta).loss
+        loss = model.forward([features], [1], [caption], alpha=alpha, beta=beta)
         backward(loss)
         return loss.item(), {n: p.grad.copy() for n, p in model.params.items()}
 
@@ -241,9 +268,9 @@ def test_losses_are_bit_identical_across_runs(rng):
         if variant == "mt-baseline":
             model = ReviewerModel(variant, ModelConfig(vocab_size=10, feature_dim=8,
                                                        embed_dim=8, hidden_dim=8), seed=11)
-            return model.forward([image], [1], [caption]).loss.data.tobytes()
+            return model.forward([image], [1], [caption]).data.tobytes()
         model = tiny_model(variant, seed=11)
-        return model.forward([features], [1], [caption]).loss.data.tobytes()
+        return model.forward([features], [1], [caption]).data.tobytes()
 
     for variant in ("iac", "v2l", "mt-baseline", "model1", "model2"):
         assert run(variant) == run(variant)
@@ -289,7 +316,7 @@ def test_stacked_lstm_depth_knob(rng, tmp_path):
     model = tiny_model("v2l", seed=4, lstm_layers=2)
     assert "lstm0.w_hidden" in model.params and "lstm1.w_hidden" in model.params
     features = rng.normal(size=8)
-    loss = model.forward([features], captions=[[4, 5]]).language
+    loss = model.forward([features], [0], [[4, 5]])
     assert np.isfinite(loss.item())
     # graph loss and the decode fast path agree through both layers
     from reviewnet.inference import score_caption
@@ -515,6 +542,26 @@ def test_a_load_draws_nothing_and_holds_the_read_arrays(tmp_path, monkeypatch, c
     for name, p in loaded.params.items():
         assert p.requires_grad and p.data.flags.owndata and p.data.flags.writeable
         assert np.array_equal(p.data, model.params[name].data)
+
+
+def test_a_load_holds_no_second_copy_of_the_file(tmp_path):
+    # about 65 MB of parameters: the held arrays and their zero gradients are
+    # two copies of the file, and its bytes kept beside them would be a third
+    model = tiny_model("v2l", vocab_size=31_000, feature_dim=128, embed_dim=128, hidden_dim=128)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    del model
+    # traced allocations, not ru_maxrss: a child process inherits its
+    # parent's RSS high-water across exec
+    tracemalloc.start()
+    try:
+        load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 60e6
+    assert peak < 2.5 * size
 
 
 def test_checkpoint_magic_is_pinned(tmp_path):

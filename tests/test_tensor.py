@@ -630,11 +630,6 @@ def test_embedding_out_of_range():
 # dropout
 
 
-def test_dropout_keep_one_is_identity():
-    x = Tensor([1.0, 2.0], requires_grad=True)
-    assert dropout(x, 1.0) is x
-
-
 def test_dropout_expected_value_statistics():
     rng = np.random.default_rng(99)
     x = Tensor(np.ones(100))
@@ -646,11 +641,14 @@ def test_dropout_expected_value_statistics():
     assert abs(mean - 1.0) <= 0.01
 
 
-def test_dropout_requires_rng_or_mask():
-    with pytest.raises(ContractError):
-        dropout(Tensor([1.0]), 0.5)
+def test_dropout_keep_outside_zero_to_one_is_a_config_error():
     with pytest.raises(ConfigError):
         dropout(Tensor([1.0]), 0.0, mask=np.array([True]))
+
+
+def test_dropout_without_a_mask_is_a_type_error():
+    with pytest.raises(TypeError):
+        dropout(Tensor([1.0]), 0.5)
 
 
 def test_dropout_explicit_mask_rescales():
